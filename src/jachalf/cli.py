@@ -7,7 +7,8 @@ fixed inputs.
 Exit codes:
   0  success
   1  selftest invariant failure / internal error
-  2  malformed input (files, operands, curve construction)
+  2  malformed input (files, operands, curve construction), or a point
+     whose halves lie above the quadratic tower step
   3  point not on curve / invalid divisor
   4  point at infinity where an affine point is required
   5  enumeration field too large for a torsion scan
@@ -33,6 +34,7 @@ from .errors import (
     NotPrime,
     ParseError,
     ReducibleModulus,
+    TowerExhausted,
 )
 from .field import ctx_new
 from .poly import Poly
@@ -63,6 +65,7 @@ _PARSE_ERRORS = (
     DuplicateRoot,
     EvenDegree,
     CtxMismatch,
+    TowerExhausted,
     json.JSONDecodeError,
     KeyError,
     TypeError,

@@ -6,12 +6,21 @@ it the context eagerly prepares a quadratic step F_{p^{2k}} = F_{p^k}[u]/(u^2 - 
 where ns is the smallest non-square of the base field; every base element has
 a square root within this tower, which is all the halving formulas ever need.
 
+Square roots and square tests cost O(log q) base-field operations at both
+levels (q = p^k), plus Tonelli-Shanks' O(e^2) where 2^e exactly divides
+q - 1.  A base element is tested by Euler's criterion and rooted by
+Tonelli-Shanks with ns.  A quadratic element x0 + x1*u is a square exactly
+when its norm x0^2 - ns*x1^2 is a base square, and its root comes in closed
+form from base roots; a base non-square c has the root sqrt(c/ns)*u.
+
 Base-level elements are coefficient tuples over F_p (low-to-high, length k);
 quadratic-level elements are pairs of such tuples (c0, c1) standing for
 c0 + c1*u.  All values are immutable.
 """
 
 from __future__ import annotations
+
+import operator
 
 from sympy import isprime
 
@@ -34,6 +43,16 @@ def _divisors(n):
     return [d for d in range(1, n) if n % d == 0]
 
 
+def _int_value(v, what):
+    """v as an int; floats, strings and bools are refused, not truncated."""
+    if not isinstance(v, bool):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise TypeError(f"{what} must be an integer, got {v!r}")
+
+
 class FieldCtx:
     """Shared, immutable arithmetic context for F_{p^k} and F_{p^{2k}}."""
 
@@ -45,13 +64,16 @@ class FieldCtx:
         "q",
         "q2",
         "nonsquare",
-        "_quad_nonsquare",
+        "_ns_inv",
+        "_half",
+        "_ts",
         "_zero_b",
         "_one_b",
         "_badd",
         "_bsub",
         "_bneg",
         "_bmul",
+        "_bpow",
         "_qadd",
         "_qsub",
         "_qneg",
@@ -59,7 +81,7 @@ class FieldCtx:
     )
 
     def __init__(self, p, modulus):
-        p = int(p)
+        p = _int_value(p, "p")
         if p == 2:
             raise CharacteristicTwo("characteristic 2 is not supported")
         if p < 2 or not isprime(p):
@@ -68,7 +90,7 @@ class FieldCtx:
             raise NotPrime(f"{p} exceeds the machine-word bound (< 2^62)")
         self.p = p
 
-        mod = _intpoly.trim(c % p for c in modulus)
+        mod = _intpoly.trim(_int_value(c, "modulus coefficient") % p for c in modulus)
         if mod == (1,):
             # CLI convention: modulus [1] means the prime field itself.
             mod = (0, 1)
@@ -87,17 +109,25 @@ class FieldCtx:
             self._check_irreducible()
         self._bind_base_ops()
         self.nonsquare = self._find_base_nonsquare()
+        self._ns_inv = self._binv(self.nonsquare)
+        self._half = ((p + 1) // 2,) + self._zero_b[1:]
+        m, e = self.q - 1, 0
+        while m % 2 == 0:
+            m //= 2
+            e += 1
+        self._ts = (m, e, self._bpow(self.nonsquare, m))
         self._bind_quad_ops()
-        self._quad_nonsquare = None  # located lazily on first quad-level sqrt
 
     def _bind_base_ops(self):
         """Install per-k specialized payload operations (hot path)."""
         p, k = self.p, self.k
+        self._bpow = self._bpow_gen
         if k == 1:
             self._badd = lambda a, b: ((a[0] + b[0]) % p,)
             self._bsub = lambda a, b: ((a[0] - b[0]) % p,)
             self._bneg = lambda a: ((-a[0]) % p,)
             self._bmul = lambda a, b: ((a[0] * b[0]) % p,)
+            self._bpow = lambda a, e: (pow(a[0], e, p),)
         elif k == 2:
             mt0, mt1 = self._mt
 
@@ -171,7 +201,8 @@ class FieldCtx:
     def _find_base_nonsquare(self):
         e = (self.q - 1) // 2
         minus_one = self._bneg(self._one_b)
-        for i in range(1, self.q):
+        # For even k all of F_p (indices below p) are squares in F_{p^k}.
+        for i in range(self.p if self.k % 2 == 0 else 1, self.q):
             cand = self._b_from_index(i)
             if self._bpow(cand, e) == minus_one:
                 return cand
@@ -238,7 +269,7 @@ class FieldCtx:
         inv = tuple((c * scale) % p for c in t1)
         return inv + (0,) * (self.k - len(inv))
 
-    def _bpow(self, a, e):
+    def _bpow_gen(self, a, e):
         result = self._one_b
         while e:
             if e & 1:
@@ -247,15 +278,46 @@ class FieldCtx:
             e >>= 1
         return result
 
+    def _bsqrt(self, a):
+        """A square root of the base payload a, or None when a is a non-square.
+
+        Tonelli-Shanks with q - 1 = m * 2^e and c = ns^m; one exponentiation
+        gives both the first root guess r = a^((m+1)/2) and t = a^m.  A
+        non-square shows as t of full order 2^e.  For q = 3 (mod 4), e = 1
+        and this is the single power a^((q+1)/4).
+        """
+        bmul, one = self._bmul, self._one_b
+        if a == self._zero_b:
+            return a
+        m, e, c = self._ts
+        w = self._bpow(a, (m - 1) // 2)
+        r = bmul(a, w)
+        t = bmul(r, w)
+        while t != one:
+            i, t2 = 0, t
+            while t2 != one:
+                t2 = bmul(t2, t2)
+                i += 1
+            if i == e:
+                return None
+            b = self._bpow(c, 1 << (e - i - 1))
+            r = bmul(r, b)
+            c = bmul(b, b)
+            t = bmul(t, c)
+            e = i
+        return r
+
     # -- quadratic-level payload arithmetic (pairs of base tuples) -------
 
-    def _qinv(self, a):
+    def _qnorm(self, a):
+        """N(a0 + a1*u) = a0^2 - ns*a1^2, a base payload."""
+        bmul = self._bmul
         a0, a1 = a
-        norm = self._bsub(
-            self._bmul(a0, a0), self._bmul(self.nonsquare, self._bmul(a1, a1))
-        )
-        ninv = self._binv(norm)
-        return (self._bmul(a0, ninv), self._bneg(self._bmul(a1, ninv)))
+        return self._bsub(bmul(a0, a0), bmul(self.nonsquare, bmul(a1, a1)))
+
+    def _qinv(self, a):
+        ninv = self._binv(self._qnorm(a))
+        return (self._bmul(a[0], ninv), self._bneg(self._bmul(a[1], ninv)))
 
     def _qpow(self, a, e):
         result = (self._one_b, self._zero_b)
@@ -266,19 +328,32 @@ class FieldCtx:
             e >>= 1
         return result
 
+    def _qsqrt(self, a):
+        """A square root of the quadratic payload a, or None for a non-square.
+
+        Only base-field roots are taken.  With x1 = 0, x0 is a base square or
+        x0/ns is, and then (sqrt(x0/ns)*u)^2 = x0.  Otherwise, with
+        n^2 = N(a), d = (x0 +- n)/2 and r^2 = d, the root is r + x1/(2r)*u.
+        The two candidates for d multiply to ns*x1^2/4, a non-square, so
+        exactly one of them is a base square.
+        """
+        bmul, bsqrt, zero = self._bmul, self._bsqrt, self._zero_b
+        x0, x1 = a
+        if x1 == zero:
+            r = bsqrt(x0)
+            if r is not None:
+                return (r, zero)
+            return (zero, bsqrt(bmul(x0, self._ns_inv)))
+        n = bsqrt(self._qnorm(a))
+        if n is None:
+            return None
+        r = bsqrt(bmul(self._badd(x0, n), self._half))
+        if r is None:
+            r = bsqrt(bmul(self._bsub(x0, n), self._half))
+        return (r, bmul(x1, self._binv(self._badd(r, r))))
+
     def _q_from_index(self, i):
         return (self._b_from_index(i % self.q), self._b_from_index(i // self.q))
-
-    def _quad_nonsquare_payload(self):
-        if self._quad_nonsquare is None:
-            e = (self.q2 - 1) // 2
-            minus_one = ((self.p - 1,) + (0,) * (self.k - 1), self._zero_b)
-            for i in range(1, self.q2):
-                cand = self._q_from_index(i)
-                if self._qpow(cand, e) == minus_one:
-                    self._quad_nonsquare = cand
-                    break
-        return self._quad_nonsquare
 
     # -- element construction --------------------------------------------
 
@@ -301,7 +376,7 @@ class FieldCtx:
 
     def from_coeffs(self, coeffs, level=BASE):
         """Build an element from F_p coefficients, low-to-high (length <= k)."""
-        c = tuple(int(v) % self.p for v in coeffs)
+        c = tuple(_int_value(v, "field element coefficient") % self.p for v in coeffs)
         if len(c) > self.k:
             raise ValueError(f"expected at most {self.k} coefficients")
         c = c + (0,) * (self.k - len(c))
@@ -477,15 +552,12 @@ class FieldElement:
 
     # -- field structure ---------------------------------------------------
 
-    def level_order(self):
-        return self.ctx.q if self.level == BASE else self.ctx.q2
-
     def is_square(self):
-        """Euler's criterion at the element's own level."""
-        if self.is_zero():
-            return True
-        q = self.level_order()
-        return self ** ((q - 1) // 2) == self.ctx.one(self.level)
+        """Euler's criterion at base level; the norm criterion at the quadratic
+        level, where x is a square exactly when N(x) is a base square."""
+        ctx = self.ctx
+        a = self.payload if self.level == BASE else ctx._qnorm(self.payload)
+        return a == ctx._zero_b or ctx._bpow(a, (ctx.q - 1) // 2) == ctx._one_b
 
     def sqrt(self):
         """Canonical square root; promotes to the quadratic level when needed.
@@ -494,52 +566,18 @@ class FieldElement:
         encoding is returned.  Raises TowerExhausted for a quadratic-level
         non-square: that would need a context one level higher.
         """
-        if self.is_zero():
-            return self
-        if self.is_square():
-            return self._sqrt_at_level()
-        if self.level == BASE:
-            return self.promote()._sqrt_at_level()
-        raise TowerExhausted(
-            "element is not a square in F_{p^{2k}}; rebuild the context one level up"
-        )
-
-    def _sqrt_at_level(self):
         ctx = self.ctx
-        q = self.level_order()
-        if q % 4 == 3:
-            s = self ** ((q + 1) // 4)
-        else:
-            s = self._tonelli_shanks(q)
-        return min(s, -s, key=lambda e: e.encoding_key())
-
-    def _tonelli_shanks(self, q):
-        ctx = self.ctx
-        m = q - 1
-        e = 0
-        while m % 2 == 0:
-            m //= 2
-            e += 1
-        if self.level == BASE:
-            z = ctx.elem(ctx.nonsquare, BASE)
-        else:
-            z = ctx.elem(ctx._quad_nonsquare_payload(), QUAD)
-        one = ctx.one(self.level)
-        c = z**m
-        t = self**m
-        r = self ** ((m + 1) // 2)
-        while t != one:
-            i = 0
-            t2 = t
-            while t2 != one:
-                t2 = t2 * t2
-                i += 1
-            b = c ** (1 << (e - i - 1))
-            r = r * b
-            c = b * b
-            t = t * c
-            e = i
-        return r
+        base = self.level == BASE
+        s = ctx._qsqrt((self.payload, ctx._zero_b) if base else self.payload)
+        if s is None:
+            raise TowerExhausted(
+                "element is not a square in F_{p^{2k}}; rebuild the context one level up"
+            )
+        # pairs of equal-length tuples order like their encoding_key()
+        s = min(s, ctx._qneg(s))
+        if base and s[1] == ctx._zero_b:
+            return FieldElement(ctx, BASE, s[0])
+        return FieldElement(ctx, QUAD, s)
 
     def frobenius(self):
         """The p-power map x -> x^p."""

@@ -19,6 +19,7 @@ from .errors import (
     InfinityInput,
     InternalInvariantViolation,
     NotAHalf,
+    TowerExhausted,
     WeierstrassCollision,
 )
 from .field import QUAD
@@ -102,7 +103,15 @@ def sqrt_tuples(point):
     g = curve.g
     a = point.a.promote()
     b = point.b.promote()
-    rhos = [(a - alpha.promote()).sqrt().promote() for alpha in curve.roots]
+    rhos = []
+    for i, alpha in enumerate(curve.roots, start=1):
+        try:
+            rhos.append((a - alpha.promote()).sqrt().promote())
+        except TowerExhausted:
+            raise TowerExhausted(
+                f"point {[point.a.encode(), point.b.encode()]}: a - alpha_{i} is not "
+                "a square in F_{p^{2k}}, so its halves lie above the tower"
+            ) from None
 
     if point.b.is_zero():
         zero_at = next(i for i, rho in enumerate(rhos) if rho.is_zero())

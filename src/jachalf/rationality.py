@@ -20,28 +20,40 @@ from .poly import Poly, from_roots
 
 
 def class_is_rational(half):
-    """Whether the half lies in J(F_p): s_i in F_p for i = 1..2g.
-
-    Cross-checked against the equivalent condition that every coefficient
-    of (U, V) lies in F_p; disagreement would be an implementation bug.
-    """
-    g = half.divisor.curve.g
-    by_s = all(si.in_prime_field() for si in half.s[: 2 * g])
-    by_coeffs = all(
-        c.in_prime_field() for c in half.U.coeffs + half.V.coeffs
-    )
-    if by_s != by_coeffs:
-        raise InternalInvariantViolation("s_i and (U, V) rationality disagree")
-    return by_s
+    """Whether the half lies in J(F_p): every coefficient of (U, V) lies in F_p."""
+    return rational_witness(half) is None
 
 
 def rational_witness(half):
-    """First index i (1-based) with s_i outside F_p, or None."""
+    """Why the half lies outside J(F_p), or None when it lies inside.
+
+    For a point with a, b in F_p the witness is the first index i (1-based)
+    with s_i outside F_p, the criterion of the halving theorem; it is
+    cross-checked against the coefficients of (U, V), and disagreement would
+    be an implementation bug.  For any other point the s_i decide nothing,
+    and the witness is the first coefficient outside F_p, as ("U", j) or
+    ("V", j) for the coefficient of x^j.
+    """
+    by_coeffs = next(
+        (
+            (name, j)
+            for name, poly in (("U", half.U), ("V", half.V))
+            for j, c in enumerate(poly.coeffs)
+            if not c.in_prime_field()
+        ),
+        None,
+    )
+    point = half.tuple.point
+    if not (point.a.in_prime_field() and point.b.in_prime_field()):
+        return by_coeffs
     g = half.divisor.curve.g
-    for i, si in enumerate(half.s[: 2 * g], start=1):
-        if not si.in_prime_field():
-            return i
-    return None
+    by_s = next(
+        (i for i, si in enumerate(half.s[: 2 * g], start=1) if not si.in_prime_field()),
+        None,
+    )
+    if (by_s is None) != (by_coeffs is None):
+        raise InternalInvariantViolation("s_i and (U, V) rationality disagree")
+    return by_s
 
 
 def frobenius_divisor(divisor):

@@ -72,6 +72,28 @@ class TestHalve:
         code, _, err = run(capsys, ["halve", "--curve", g1_curve_file, "--point", "wat"])
         assert code == 2 and err
 
+    def test_halves_above_the_tower_is_exit_2(self, capsys, g1_curve_file):
+        # a = u with u^2 = 3 lies on the curve, but a - 1 has norm 5, a non-square
+        point = "[[[0],[1]],[[3],[5]]]"
+        code, out, err = run(capsys, ["halve", "--curve", g1_curve_file, "--point", point])
+        assert code == 2 and out == ""
+        assert "[[[0], [1]], [[3], [5]]]" in err
+
+    def test_rationality_of_halves_of_a_tower_point(self, capsys, tmp_path):
+        path = tmp_path / "f25.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "p": 5,
+                    "modulus": [3, 0, 1],
+                    "roots": [[4, 1], [0, 3], [1, 4], [1, 3], [0, 4]],
+                }
+            )
+        )
+        code, out, _ = run(capsys, ["halve", "--curve", str(path), "--point", "[[3,1],[2,0]]"])
+        assert code == 0
+        assert len(out.splitlines()) == 16
+
 
 class TestGroup:
     def test_double_point(self, capsys, g1_curve_file):
@@ -185,6 +207,24 @@ class TestParsing:
         path.write_text(json.dumps({"p": 15, "modulus": [1], "roots": [[0], [1], [2]]}))
         code, _, err = run(capsys, ["halve", "--curve", str(path), "--point", "1,0"])
         assert code == 2 and err
+
+    def test_non_integer_p_is_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"p": 7.9, "modulus": [1], "roots": [[0], [1], [6]]}))
+        code, _, err = run(capsys, ["halve", "--curve", str(path), "--point", "1,0"])
+        assert code == 2 and "7.9" in err
+
+    def test_non_integer_modulus_entry_is_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"p": 7, "modulus": [1, 0.5, 1], "roots": [[0], [1], [6]]}))
+        code, _, err = run(capsys, ["halve", "--curve", str(path), "--point", "1,0"])
+        assert code == 2 and "0.5" in err
+
+    def test_non_integer_coefficient_is_exit_2(self, capsys, g1_curve_file):
+        code, _, err = run(
+            capsys, ["halve", "--curve", g1_curve_file, "--point", "[[1e400],[1]]"]
+        )
+        assert code == 2 and "inf" in err
 
 
 class TestSelftest:

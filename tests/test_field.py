@@ -147,6 +147,23 @@ class TestSqrt:
         for x in f27.base_elements():
             assert x.is_square() == (x.payload in squares)
 
+    @pytest.mark.parametrize(
+        "p, modulus", [(7, [1]), (13, [1]), (7, [1, 0, 1])], ids=["F7^2", "F13^2", "F49^2"]
+    )
+    def test_quad_level_against_euler(self, p, modulus):
+        ctx = ctx_new(p, modulus)
+        e = (ctx.q2 - 1) // 2
+        for x in ctx.quad_elements():
+            euler = x.is_zero() or x**e == 1
+            assert x.is_square() == euler
+            if euler:
+                s = x.sqrt()
+                assert s * s == x
+                assert s == min(s, -s, key=lambda y: y.encoding_key())
+            else:
+                with pytest.raises(TowerExhausted):
+                    x.sqrt()
+
     def test_tonelli_shanks_branch(self):
         # q = 25 = 1 mod 4 exercises the full Tonelli-Shanks loop
         ctx = ctx_new(5, [3, 0, 1])

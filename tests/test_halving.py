@@ -1,6 +1,7 @@
 """Division by 2: sqrt tuples, the closed formulas, and root recovery."""
 
 import random
+import time
 
 import pytest
 
@@ -176,3 +177,29 @@ class TestRecoverTuple:
         for t in sqrt_tuples(pt)[:6]:
             half = mumford_from_tuple(t)
             assert recover_tuple(half).r == t.r
+
+
+class TestLargePrime:
+    """Square roots take base-field work only, so halving at p = 2^61 - 1 is
+    quick even when some a - alpha_i is a base non-square."""
+
+    P61 = 2**61 - 1  # = 3 (mod 4), so t^2 + 1 is irreducible
+
+    @pytest.mark.parametrize("modulus", [[1], [1, 0, 1]], ids=["k1", "k2"])
+    @pytest.mark.parametrize("g", [1, 2])
+    def test_halve_within_budget(self, g, modulus):
+        start = time.perf_counter()
+        ctx = ctx_new(self.P61, modulus)
+        k = ctx.k
+        curve = curve_new(ctx, [ctx.from_coeffs([i] * k) for i in range(2 * g + 1)])
+        point = None
+        for n in range(2 * g + 1, 200):
+            a = ctx.from_coeffs([n] + [1] * (k - 1))
+            fa = curve.f(a)
+            if fa.is_square() and not all((a - r).is_square() for r in curve.roots):
+                point = Point(curve, a, fa.sqrt())
+                break
+        assert point is not None
+        halves = halve(point, verify=True)
+        assert len(halves) == 4**g
+        assert time.perf_counter() - start < 10

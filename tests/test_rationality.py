@@ -39,6 +39,24 @@ class TestClassIsRational:
         for h in halve(p, verify=False):
             assert class_is_rational(h) == (frobenius_divisor(h.divisor) == h.divisor)
 
+    def test_point_outside_prime_field(self):
+        # halves whose s_i all lie in F_p although (U, V) does not
+        ctx = ctx_new(5, [3, 0, 1])
+        roots = [[4, 1], [0, 3], [1, 4], [1, 3], [0, 4]]
+        curve = curve_new(ctx, [ctx.decode(r) for r in roots])
+        point = Point(curve, ctx.decode([3, 1]), ctx.decode([2, 0]))
+        halves = halve(point)
+        assert any(all(si.in_prime_field() for si in h.s[:4]) for h in halves)
+        for h in halves:
+            coeffs = {"U": h.U.coeffs, "V": h.V.coeffs}
+            rational = all(c.in_prime_field() for cs in coeffs.values() for c in cs)
+            assert class_is_rational(h) == rational
+            witness = rational_witness(h)
+            assert (witness is None) == rational
+            if witness is not None:
+                name, j = witness
+                assert not coeffs[name][j].in_prime_field()
+
 
 class TestFrobeniusAction:
     def test_permutes_halves(self, curve_g2_f49):
