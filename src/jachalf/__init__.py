@@ -23,7 +23,7 @@ from .errors import (
     TowerExhausted,
     WeierstrassCollision,
 )
-from .field import BASE, QUAD, FieldCtx, FieldElement, ctx_new
+from .field import FieldCtx, FieldElement, TowerField, ctx_new
 from .poly import Poly, elementary_symmetric, from_roots, gcd, xgcd
 from .jacobian import (
     Curve,

@@ -7,8 +7,9 @@ fixed inputs.
 Exit codes:
   0  success
   1  selftest invariant failure / internal error
-  2  malformed input (files, operands, curve construction), or a point
-     whose halves lie above the quadratic tower step
+  2  malformed input (files, operands, curve construction), a point whose
+     halves lie above the quadratic tower step, or a `check` on a point or
+     curve not defined over F_p (each message names the offending input)
   3  point not on curve / invalid divisor
   4  point at infinity where an affine point is required
   5  enumeration field too large for a torsion scan
@@ -17,6 +18,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -29,10 +31,11 @@ from .errors import (
     FieldTooLarge,
     InfinityInput,
     InvalidDivisor,
-    JachalfError,
+    NonRationalCurve,
     NotOnCurve,
     NotPrime,
     ParseError,
+    PointNotRational,
     ReducibleModulus,
     TowerExhausted,
 )
@@ -66,10 +69,8 @@ _PARSE_ERRORS = (
     EvenDegree,
     CtxMismatch,
     TowerExhausted,
-    json.JSONDecodeError,
-    KeyError,
-    TypeError,
-    ValueError,
+    PointNotRational,
+    NonRationalCurve,
 )
 
 
@@ -77,20 +78,34 @@ def _emit(obj):
     sys.stdout.write(json.dumps(obj, separators=(",", ":"), sort_keys=True) + "\n")
 
 
-def load_curve(path):
+@contextlib.contextmanager
+def _parsing(what):
+    """Turn the builtin errors of reading `what` into a ParseError naming it."""
     try:
-        with open(path) as fh:
-            data = json.load(fh)
+        yield
+    except KeyError as exc:
+        raise ParseError(f"{what} is missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        raise ParseError(f"{what}: {exc}") from exc
+
+
+def _read_json(path, what):
+    try:
+        with open(path) as fh, _parsing(f"{what} {path}"):
+            return json.load(fh)
     except OSError as exc:
-        raise ParseError(f"cannot read curve file {path}: {exc}") from exc
-    try:
+        raise ParseError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def load_curve(path):
+    data = _read_json(path, "curve file")
+    with _parsing(f"curve file {path}"):
         p = data["p"]
         modulus = data["modulus"]
         roots = data["roots"]
-    except KeyError as exc:
-        raise ParseError(f"curve file {path} is missing field {exc}") from exc
-    ctx = ctx_new(p, modulus)
-    return curve_new(ctx, [ctx.decode(r) for r in roots])
+        ctx = ctx_new(p, modulus)
+        roots = [ctx.decode(r) for r in roots]
+    return curve_new(ctx, roots)
 
 
 def parse_point(curve, text):
@@ -99,29 +114,29 @@ def parse_point(curve, text):
         return Point.infinity(curve)
     ctx = curve.ctx
     if text.startswith("["):
-        enc = json.loads(text)
-        if not isinstance(enc, list) or len(enc) != 2:
-            raise ParseError(f"point encoding must be [a, b]: {text!r}")
-        return Point(curve, ctx.decode(enc[0]), ctx.decode(enc[1]))
+        with _parsing(f"point {text!r}"):
+            enc = json.loads(text)
+            if not isinstance(enc, list) or len(enc) != 2:
+                raise ParseError(f"point encoding must be [a, b]: {text!r}")
+            a, b = ctx.decode(enc[0]), ctx.decode(enc[1])
+        return Point(curve, a, b)
     parts = text.split(",")
     if len(parts) != 2:
         raise ParseError(f"expected 'a,b' or JSON [a, b]: {text!r}")
-    return Point(curve, int(parts[0]), int(parts[1]))
+    with _parsing(f"point {text!r}"):
+        a, b = int(parts[0]), int(parts[1])
+    return Point(curve, a, b)
 
 
 def load_divisor(curve, path):
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read divisor file {path}: {exc}") from exc
-    return parse_divisor(curve, data)
+    return parse_divisor(curve, _read_json(path, "divisor file"))
 
 
 def parse_divisor(curve, data):
     ctx = curve.ctx
-    u = Poly(ctx, [ctx.decode(c) for c in data["U"]])
-    v = Poly(ctx, [ctx.decode(c) for c in data["V"]])
+    with _parsing(f"divisor {data!r}"):
+        u = Poly(ctx, [ctx.decode(c) for c in data["U"]])
+        v = Poly(ctx, [ctx.decode(c) for c in data["V"]])
     return MumfordDivisor(curve, u, v, validate=True)
 
 
@@ -162,7 +177,9 @@ def cmd_group(args):
     else:
         if args.scalar is None:
             raise ParseError("mul needs --scalar")
-        out = scalar_mul(int(args.scalar), operands[0])
+        with _parsing("--scalar"):
+            n = int(args.scalar)
+        out = scalar_mul(n, operands[0])
     _emit(out.encode())
     return 0
 
@@ -249,9 +266,6 @@ def build_parser():
         description="Divisor-class arithmetic and point halving on odd-degree "
         "hyperelliptic Jacobians over finite fields.",
     )
-    parser.add_argument(
-        "--json", action="store_true", help="emit JSON lines (the default; accepted for compatibility)"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("halve", help="all 2^{2g} halves of a curve point")
@@ -302,8 +316,8 @@ def main(argv=None):
     except _PARSE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except JachalfError as exc:  # pragma: no cover - safety net
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # a library bug, never an input error
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -1,21 +1,26 @@
 """Exact arithmetic in F_p, an extension F_{p^k}, and one quadratic tower step.
 
 A context fixes an odd prime p and a monic irreducible modulus of degree k,
-giving the *base* field F_{p^k} in the power basis of the modulus.  On top of
-it the context eagerly prepares a quadratic step F_{p^{2k}} = F_{p^k}[u]/(u^2 - ns)
-where ns is the smallest non-square of the base field; every base element has
-a square root within this tower, which is all the halving formulas ever need.
+giving the *base* field F_q = F_{p^k} (q = p^k) in the power basis of the
+modulus.  Its attribute ``tower`` is the quadratic step F_{q^2} =
+F_q[u]/(u^2 - ns), where ns is the smallest non-square of the base field;
+every base element has a square root there, which is all the halving
+formulas ever need.
 
-Square roots and square tests cost O(log q) base-field operations at both
-levels (q = p^k), plus Tonelli-Shanks' O(e^2) where 2^e exactly divides
-q - 1.  A base element is tested by Euler's criterion and rooted by
-Tonelli-Shanks with ns.  A quadratic element x0 + x1*u is a square exactly
-when its norm x0^2 - ns*x1^2 is a base square, and its root comes in closed
-form from base roots; a base non-square c has the root sqrt(c/ns)*u.
+Square roots and square tests cost O(log q) base-field operations in both
+fields, plus Tonelli-Shanks' O(e^2) where 2^e exactly divides q - 1.  A base
+element is tested by Euler's criterion and rooted by Tonelli-Shanks with ns.
+A tower element x0 + x1*u is a square exactly when its norm x0^2 - ns*x1^2
+is a base square, and its root comes in closed form from base roots; a base
+non-square c has the root sqrt(c/ns)*u.
 
-Base-level elements are coefficient tuples over F_p (low-to-high, length k);
-quadratic-level elements are pairs of such tuples (c0, c1) standing for
-c0 + c1*u.  All values are immutable.
+The two field objects share one interface on raw payloads (add, sub, neg,
+mul, inv, pow, is_square, sqrt) and build elements with zero, one, from_int
+and elem.  Base payloads are coefficient tuples over F_p (low-to-high,
+length k); tower payloads are pairs of base payloads (c0, c1) standing for
+c0 + c1*u.  A FieldElement holds the field object of its payload; an
+operation between a base and a tower operand embeds the base one first.
+Equality, hashing and encode() go by value.  All values are immutable.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ import operator
 
 from sympy import isprime
 
-from . import _intpoly
 from .errors import (
     CharacteristicTwo,
     CtxMismatch,
@@ -34,9 +38,6 @@ from .errors import (
     ReducibleModulus,
     TowerExhausted,
 )
-
-BASE = "base"
-QUAD = "quad"
 
 
 def _divisors(n):
@@ -53,8 +54,37 @@ def _int_value(v, what):
     raise TypeError(f"{what} must be an integer, got {v!r}")
 
 
-class FieldCtx:
-    """Shared, immutable arithmetic context for F_{p^k} and F_{p^{2k}}."""
+def _square_multiply(mul, one, a, e):
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, a)
+        a = mul(a, a)
+        e >>= 1
+    return result
+
+
+class _Field:
+    """Element construction shared by the base field and its tower."""
+
+    __slots__ = ()
+
+    def elem(self, payload):
+        return FieldElement(self, payload)
+
+    def zero(self):
+        return FieldElement(self, self._zero)
+
+    def one(self):
+        return FieldElement(self, self._one)
+
+    def elements(self):
+        for i in range(self.q):
+            yield FieldElement(self, self._from_index(i))
+
+
+class FieldCtx(_Field):
+    """Shared, immutable context for the base field F_q; ``tower`` is F_{q^2}."""
 
     __slots__ = (
         "p",
@@ -64,20 +94,19 @@ class FieldCtx:
         "q",
         "q2",
         "nonsquare",
+        "base",
+        "tower",
         "_ns_inv",
         "_half",
         "_ts",
-        "_zero_b",
-        "_one_b",
-        "_badd",
-        "_bsub",
-        "_bneg",
-        "_bmul",
-        "_bpow",
-        "_qadd",
-        "_qsub",
-        "_qneg",
-        "_qmul",
+        "_zero",
+        "_one",
+        "add",
+        "sub",
+        "neg",
+        "mul",
+        "inv",
+        "pow",
     )
 
     def __init__(self, p, modulus):
@@ -90,7 +119,10 @@ class FieldCtx:
             raise NotPrime(f"{p} exceeds the machine-word bound (< 2^62)")
         self.p = p
 
-        mod = _intpoly.trim(_int_value(c, "modulus coefficient") % p for c in modulus)
+        mod = [_int_value(c, "modulus coefficient") % p for c in modulus]
+        while mod and mod[-1] == 0:
+            mod.pop()
+        mod = tuple(mod)
         if mod == (1,):
             # CLI convention: modulus [1] means the prime field itself.
             mod = (0, 1)
@@ -103,31 +135,37 @@ class FieldCtx:
         self._mt = mod[:-1]  # low k coefficients, used during reduction
         self.q = p**self.k
         self.q2 = self.q * self.q
-        self._zero_b = (0,) * self.k
-        self._one_b = (1,) + (0,) * (self.k - 1)
+        self.base = self
+        self._zero = (0,) * self.k
+        self._one = (1,) + (0,) * (self.k - 1)
+        self._bind_ops()
         if self.k > 1:
             self._check_irreducible()
-        self._bind_base_ops()
-        self.nonsquare = self._find_base_nonsquare()
-        self._ns_inv = self._binv(self.nonsquare)
-        self._half = ((p + 1) // 2,) + self._zero_b[1:]
+        self.nonsquare = self._find_nonsquare()
+        self._ns_inv = self.inv(self.nonsquare)
+        self._half = ((p + 1) // 2,) + self._zero[1:]
         m, e = self.q - 1, 0
         while m % 2 == 0:
             m //= 2
             e += 1
-        self._ts = (m, e, self._bpow(self.nonsquare, m))
-        self._bind_quad_ops()
+        self._ts = (m, e, self.pow(self.nonsquare, m))
+        self.tower = TowerField(self)
 
-    def _bind_base_ops(self):
+    def _bind_ops(self):
         """Install per-k specialized payload operations (hot path)."""
-        p, k = self.p, self.k
-        self._bpow = self._bpow_gen
+        p, k, zero = self.p, self.k, self._zero
         if k == 1:
-            self._badd = lambda a, b: ((a[0] + b[0]) % p,)
-            self._bsub = lambda a, b: ((a[0] - b[0]) % p,)
-            self._bneg = lambda a: ((-a[0]) % p,)
-            self._bmul = lambda a, b: ((a[0] * b[0]) % p,)
-            self._bpow = lambda a, e: (pow(a[0], e, p),)
+            self.add = lambda a, b: ((a[0] + b[0]) % p,)
+            self.sub = lambda a, b: ((a[0] - b[0]) % p,)
+            self.neg = lambda a: ((-a[0]) % p,)
+            self.mul = lambda a, b: ((a[0] * b[0]) % p,)
+            self.pow = lambda a, e: (pow(a[0], e, p),)
+
+            def inv(a):
+                if not a[0]:
+                    raise DivisionByZero("inverse of zero")
+                return (pow(a[0], p - 2, p),)
+
         elif k == 2:
             mt0, mt1 = self._mt
 
@@ -140,79 +178,67 @@ class FieldCtx:
                     (a0 * b1 + a1 * b0 - c2 * mt1) % p,
                 )
 
-            self._badd = lambda a, b: ((a[0] + b[0]) % p, (a[1] + b[1]) % p)
-            self._bsub = lambda a, b: ((a[0] - b[0]) % p, (a[1] - b[1]) % p)
-            self._bneg = lambda a: ((-a[0]) % p, (-a[1]) % p)
-            self._bmul = bmul2
-        else:
-            self._badd = self._badd_gen
-            self._bsub = self._bsub_gen
-            self._bneg = self._bneg_gen
-            self._bmul = self._bmul_gen
-
-    def _bind_quad_ops(self):
-        badd, bsub, bneg, bmul = self._badd, self._bsub, self._bneg, self._bmul
-        if self.k == 1:
-            p = self.p
-            ns = self.nonsquare[0]
-
-            def qmul1(a, b):
-                a0 = a[0][0]
-                a1 = a[1][0]
-                b0 = b[0][0]
-                b1 = b[1][0]
-                return (
-                    ((a0 * b0 + ns * a1 * b1) % p,),
-                    ((a0 * b1 + a1 * b0) % p,),
-                )
-
-            self._qmul = qmul1
-        else:
-            ns = self.nonsquare
-
-            def qmul(a, b):
+            def inv(a):
+                # a * conj(a) = N(a) in F_p, with conj(t) = -mt1 - t
                 a0, a1 = a
-                b0, b1 = b
-                t0 = bmul(a0, b0)
-                t1 = bmul(a1, b1)
-                m = bmul(badd(a0, a1), badd(b0, b1))
-                return (badd(t0, bmul(ns, t1)), bsub(bsub(m, t0), t1))
+                n = (a0 * a0 - mt1 * a0 * a1 + mt0 * a1 * a1) % p
+                if not n:
+                    raise DivisionByZero("inverse of zero")
+                n = pow(n, p - 2, p)
+                return ((a0 - mt1 * a1) * n % p, (-a1 * n) % p)
 
-            self._qmul = qmul
-        self._qadd = lambda a, b: (badd(a[0], b[0]), badd(a[1], b[1]))
-        self._qsub = lambda a, b: (bsub(a[0], b[0]), bsub(a[1], b[1]))
-        self._qneg = lambda a: (bneg(a[0]), bneg(a[1]))
+            self.add = lambda a, b: ((a[0] + b[0]) % p, (a[1] + b[1]) % p)
+            self.sub = lambda a, b: ((a[0] - b[0]) % p, (a[1] - b[1]) % p)
+            self.neg = lambda a: ((-a[0]) % p, (-a[1]) % p)
+            self.mul = bmul2
+        else:
+            self.add = self._add_gen
+            self.sub = self._sub_gen
+            self.neg = self._neg_gen
+            self.mul = self._mul_gen
+
+            def inv(a):
+                if a == zero:
+                    raise DivisionByZero("inverse of zero")
+                return self.pow(a, self.q - 2)
+
+        if k > 1:
+            mul, one = self.mul, self._one
+            self.pow = lambda a, e: _square_multiply(mul, one, a, e)
+        self.inv = inv
 
     # -- construction-time validation ------------------------------------
 
     def _check_irreducible(self):
-        p, k, mod = self.p, self.k, self.modulus
-        x = (0, 1)
-        # x^{p^k} == x mod m, and gcd(x^{p^d} - x, m) trivial for proper d | k.
-        xpk = _intpoly.powmod(x, p**k, mod, p)
-        if xpk != _intpoly.mod(x, mod, p):
+        """Rabin's test: t^(p^k) = t, and t^(p^d) - t is coprime to the
+        modulus for every proper divisor d of k."""
+        from .poly import Poly, gcd  # poly.py imports this module
+
+        p, k = self.p, self.k
+        t = (0, 1) + (0,) * (k - 2)
+        if self.pow(t, p**k) != t:
             raise ReducibleModulus("modulus is not irreducible over F_p")
+        fp = FieldCtx(p, [1])
+        m = Poly(fp, self.modulus)
         for d in _divisors(k):
-            xpd = _intpoly.powmod(x, p**d, mod, p)
-            g = _intpoly.gcd(_intpoly.sub(xpd, x, p), mod, p)
-            if len(g) != 1:
+            if gcd(Poly(fp, self.sub(self.pow(t, p**d), t)), m).degree() != 0:
                 raise ReducibleModulus("modulus has a factor of degree dividing k")
 
-    def _find_base_nonsquare(self):
+    def _find_nonsquare(self):
         e = (self.q - 1) // 2
-        minus_one = self._bneg(self._one_b)
+        minus_one = self.neg(self._one)
         # For even k all of F_p (indices below p) are squares in F_{p^k}.
         for i in range(self.p if self.k % 2 == 0 else 1, self.q):
-            cand = self._b_from_index(i)
-            if self._bpow(cand, e) == minus_one:
+            cand = self._from_index(i)
+            if self.pow(cand, e) == minus_one:
                 return cand
         raise InternalInvariantViolation(
             "no non-square found in an odd-order field"
         )  # pragma: no cover
 
-    # -- base-level payload arithmetic (tuples of ints, length k) --------
+    # -- payload arithmetic (tuples of ints, length k) -------------------
 
-    def _b_from_index(self, i):
+    def _from_index(self, i):
         p, k = self.p, self.k
         digits = []
         for _ in range(k):
@@ -220,19 +246,19 @@ class FieldCtx:
             i //= p
         return tuple(digits)
 
-    def _badd_gen(self, a, b):
+    def _add_gen(self, a, b):
         p = self.p
         return tuple((x + y) % p for x, y in zip(a, b))
 
-    def _bsub_gen(self, a, b):
+    def _sub_gen(self, a, b):
         p = self.p
         return tuple((x - y) % p for x, y in zip(a, b))
 
-    def _bneg_gen(self, a):
+    def _neg_gen(self, a):
         p = self.p
         return tuple((-x) % p for x in a)
 
-    def _bmul_gen(self, a, b):
+    def _mul_gen(self, a, b):
         p = self.p
         k = self.k
         out = [0] * (2 * k - 1)
@@ -250,47 +276,23 @@ class FieldCtx:
             out[idx] = 0
         return tuple(v % p for v in out[:k])
 
-    def _binv(self, a):
-        if a == self._zero_b:
-            raise DivisionByZero("inverse of zero")
-        p = self.p
-        if self.k == 1:
-            return (pow(a[0], p - 2, p),)
-        # extended Euclid against the modulus
-        r0, r1 = self.modulus, _intpoly.trim(a)
-        t0, t1 = (), (1,)
-        while len(r1) > 1:
-            q, r = _intpoly.divmod_(r0, r1, p)
-            r0, r1 = r1, r
-            t0, t1 = t1, _intpoly.sub(t0, _intpoly.mul(q, t1, p), p)
-        if not r1:
-            raise DivisionByZero("element not invertible")  # pragma: no cover
-        scale = pow(r1[0], p - 2, p)
-        inv = tuple((c * scale) % p for c in t1)
-        return inv + (0,) * (self.k - len(inv))
+    def is_square(self, a):
+        """Euler's criterion."""
+        return a == self._zero or self.pow(a, (self.q - 1) // 2) == self._one
 
-    def _bpow_gen(self, a, e):
-        result = self._one_b
-        while e:
-            if e & 1:
-                result = self._bmul(result, a)
-            a = self._bmul(a, a)
-            e >>= 1
-        return result
-
-    def _bsqrt(self, a):
-        """A square root of the base payload a, or None when a is a non-square.
+    def sqrt(self, a):
+        """A square root of the payload a, or None when a is a non-square.
 
         Tonelli-Shanks with q - 1 = m * 2^e and c = ns^m; one exponentiation
         gives both the first root guess r = a^((m+1)/2) and t = a^m.  A
         non-square shows as t of full order 2^e.  For q = 3 (mod 4), e = 1
         and this is the single power a^((q+1)/4).
         """
-        bmul, one = self._bmul, self._one_b
-        if a == self._zero_b:
+        bmul, one = self.mul, self._one
+        if a == self._zero:
             return a
         m, e, c = self._ts
-        w = self._bpow(a, (m - 1) // 2)
+        w = self.pow(a, (m - 1) // 2)
         r = bmul(a, w)
         t = bmul(r, w)
         while t != one:
@@ -300,123 +302,58 @@ class FieldCtx:
                 i += 1
             if i == e:
                 return None
-            b = self._bpow(c, 1 << (e - i - 1))
+            b = self.pow(c, 1 << (e - i - 1))
             r = bmul(r, b)
             c = bmul(b, b)
             t = bmul(t, c)
             e = i
         return r
 
-    # -- quadratic-level payload arithmetic (pairs of base tuples) -------
+    def lowest(self, a):
+        """(field object, payload) of the smallest field holding the value."""
+        return self, a
 
-    def _qnorm(self, a):
-        """N(a0 + a1*u) = a0^2 - ns*a1^2, a base payload."""
-        bmul = self._bmul
-        a0, a1 = a
-        return self._bsub(bmul(a0, a0), bmul(self.nonsquare, bmul(a1, a1)))
+    def encode(self, a):
+        return list(a)
 
-    def _qinv(self, a):
-        ninv = self._binv(self._qnorm(a))
-        return (self._bmul(a[0], ninv), self._bneg(self._bmul(a[1], ninv)))
-
-    def _qpow(self, a, e):
-        result = (self._one_b, self._zero_b)
-        while e:
-            if e & 1:
-                result = self._qmul(result, a)
-            a = self._qmul(a, a)
-            e >>= 1
-        return result
-
-    def _qsqrt(self, a):
-        """A square root of the quadratic payload a, or None for a non-square.
-
-        Only base-field roots are taken.  With x1 = 0, x0 is a base square or
-        x0/ns is, and then (sqrt(x0/ns)*u)^2 = x0.  Otherwise, with
-        n^2 = N(a), d = (x0 +- n)/2 and r^2 = d, the root is r + x1/(2r)*u.
-        The two candidates for d multiply to ns*x1^2/4, a non-square, so
-        exactly one of them is a base square.
-        """
-        bmul, bsqrt, zero = self._bmul, self._bsqrt, self._zero_b
-        x0, x1 = a
-        if x1 == zero:
-            r = bsqrt(x0)
-            if r is not None:
-                return (r, zero)
-            return (zero, bsqrt(bmul(x0, self._ns_inv)))
-        n = bsqrt(self._qnorm(a))
-        if n is None:
-            return None
-        r = bsqrt(bmul(self._badd(x0, n), self._half))
-        if r is None:
-            r = bsqrt(bmul(self._bsub(x0, n), self._half))
-        return (r, bmul(x1, self._binv(self._badd(r, r))))
-
-    def _q_from_index(self, i):
-        return (self._b_from_index(i % self.q), self._b_from_index(i // self.q))
+    def key(self, a):
+        """The payload flattened to ints, ordered like its encoding."""
+        return a
 
     # -- element construction --------------------------------------------
 
-    def zero(self, level=BASE):
-        return self.elem(self._zero_b if level == BASE else (self._zero_b,) * 2, level)
+    def from_int(self, n):
+        return FieldElement(self, (n % self.p,) + self._zero[1:])
 
-    def one(self, level=BASE):
-        if level == BASE:
-            return self.elem(self._one_b, BASE)
-        return self.elem((self._one_b, self._zero_b), QUAD)
-
-    def from_int(self, n, level=BASE):
-        c = (n % self.p,) + (0,) * (self.k - 1)
-        if level == BASE:
-            return self.elem(c, BASE)
-        return self.elem((c, self._zero_b), QUAD)
-
-    def elem(self, payload, level=BASE):
-        return FieldElement(self, level, payload)
-
-    def from_coeffs(self, coeffs, level=BASE):
+    def from_coeffs(self, coeffs):
         """Build an element from F_p coefficients, low-to-high (length <= k)."""
         c = tuple(_int_value(v, "field element coefficient") % self.p for v in coeffs)
         if len(c) > self.k:
             raise ValueError(f"expected at most {self.k} coefficients")
-        c = c + (0,) * (self.k - len(c))
-        if level == BASE:
-            return self.elem(c, BASE)
-        return self.elem((c, self._zero_b), QUAD)
+        return FieldElement(self, c + (0,) * (self.k - len(c)))
 
     def generator(self):
         """The power-basis generator t of F_{p^k} (t = 0 when k = 1)."""
         if self.k == 1:
             return self.zero()
-        return self.elem((0, 1) + (0,) * (self.k - 2), BASE)
+        return FieldElement(self, (0, 1) + (0,) * (self.k - 2))
 
-    def tower_generator(self):
-        """The element u of F_{p^{2k}} with u^2 = nonsquare."""
-        return self.elem((self._zero_b, self._one_b), QUAD)
+    def decode(self, obj):
+        """Parse the JSON encoding: [ints] (base) or [[ints], [ints]] (tower).
 
-    def base_elements(self):
-        for i in range(self.q):
-            yield self.elem(self._b_from_index(i), BASE)
-
-    def quad_elements(self):
-        for i in range(self.q2):
-            yield self.elem(self._q_from_index(i), QUAD)
-
-    def decode(self, obj, level=None):
-        """Parse the JSON encoding: [ints] (base) or [[ints], [ints]] (quadratic)."""
+        A tower encoding whose u-coordinate is zero gives a base element.
+        """
         if not isinstance(obj, (list, tuple)) or not obj:
             raise ValueError(f"bad field element encoding: {obj!r}")
-        if isinstance(obj[0], (list, tuple)):
-            if len(obj) != 2:
-                raise ValueError(f"quadratic encoding needs two parts: {obj!r}")
-            c0 = self.from_coeffs(obj[0]).payload
-            c1 = self.from_coeffs(obj[1]).payload
-            el = self.elem((c0, c1), QUAD)
-        else:
-            el = self.from_coeffs(obj, BASE)
-        if level == QUAD:
-            el = el.promote()
-        return el
+        if not isinstance(obj[0], (list, tuple)):
+            return self.from_coeffs(obj)
+        if len(obj) != 2:
+            raise ValueError(f"quadratic encoding needs two parts: {obj!r}")
+        c0 = self.from_coeffs(obj[0]).payload
+        c1 = self.from_coeffs(obj[1]).payload
+        if c1 == self._zero:
+            return FieldElement(self, c0)
+        return FieldElement(self.tower, (c0, c1))
 
     # -- context identity --------------------------------------------------
 
@@ -433,88 +370,199 @@ class FieldCtx:
         return f"FieldCtx(p={self.p}, k={self.k})"
 
 
+class TowerField(_Field):
+    """F_{q^2} = F_q[u]/(u^2 - ns) over a base context, on pairs of base payloads."""
+
+    __slots__ = ("base", "tower", "p", "q", "_zero", "_one", "add", "sub", "neg", "mul")
+
+    def __init__(self, base):
+        self.base = base
+        self.tower = self
+        self.p = base.p
+        self.q = base.q2
+        z = base._zero
+        self._zero = (z, z)
+        self._one = (base._one, z)
+        badd, bsub, bneg, bmul = base.add, base.sub, base.neg, base.mul
+        if base.k == 1:
+            p = base.p
+            ns = base.nonsquare[0]
+
+            def qmul1(a, b):
+                a0 = a[0][0]
+                a1 = a[1][0]
+                b0 = b[0][0]
+                b1 = b[1][0]
+                return (
+                    ((a0 * b0 + ns * a1 * b1) % p,),
+                    ((a0 * b1 + a1 * b0) % p,),
+                )
+
+            self.mul = qmul1
+        else:
+            ns = base.nonsquare
+
+            def qmul(a, b):
+                a0, a1 = a
+                b0, b1 = b
+                t0 = bmul(a0, b0)
+                t1 = bmul(a1, b1)
+                m = bmul(badd(a0, a1), badd(b0, b1))
+                return (badd(t0, bmul(ns, t1)), bsub(bsub(m, t0), t1))
+
+            self.mul = qmul
+        self.add = lambda a, b: (badd(a[0], b[0]), badd(a[1], b[1]))
+        self.sub = lambda a, b: (bsub(a[0], b[0]), bsub(a[1], b[1]))
+        self.neg = lambda a: (bneg(a[0]), bneg(a[1]))
+
+    def embed(self, a):
+        """The base payload a as a tower payload."""
+        return (a, self.base._zero)
+
+    def _norm(self, a):
+        """N(a0 + a1*u) = a0^2 - ns*a1^2, a base payload."""
+        base = self.base
+        bmul = base.mul
+        a0, a1 = a
+        return base.sub(bmul(a0, a0), bmul(base.nonsquare, bmul(a1, a1)))
+
+    def inv(self, a):
+        base = self.base
+        ninv = base.inv(self._norm(a))
+        return (base.mul(a[0], ninv), base.neg(base.mul(a[1], ninv)))
+
+    def pow(self, a, e):
+        return _square_multiply(self.mul, self._one, a, e)
+
+    def is_square(self, a):
+        """The norm criterion: a is a square exactly when N(a) is a base square."""
+        return self.base.is_square(self._norm(a))
+
+    def sqrt(self, a):
+        """A square root of the payload a, or None for a non-square.
+
+        Only base-field roots are taken.  With x1 = 0, x0 is a base square or
+        x0/ns is, and then (sqrt(x0/ns)*u)^2 = x0.  Otherwise, with
+        n^2 = N(a), d = (x0 +- n)/2 and r^2 = d, the root is r + x1/(2r)*u.
+        The two candidates for d multiply to ns*x1^2/4, a non-square, so
+        exactly one of them is a base square.
+        """
+        base = self.base
+        bmul, bsqrt, zero = base.mul, base.sqrt, base._zero
+        x0, x1 = a
+        if x1 == zero:
+            r = bsqrt(x0)
+            if r is not None:
+                return (r, zero)
+            return (zero, bsqrt(bmul(x0, base._ns_inv)))
+        n = bsqrt(self._norm(a))
+        if n is None:
+            return None
+        r = bsqrt(bmul(base.add(x0, n), base._half))
+        if r is None:
+            r = bsqrt(bmul(base.sub(x0, n), base._half))
+        return (r, bmul(x1, base.inv(base.add(r, r))))
+
+    def lowest(self, a):
+        if a[1] == self.base._zero:
+            return self.base, a[0]
+        return self, a
+
+    def encode(self, a):
+        return [list(a[0]), list(a[1])]
+
+    def key(self, a):
+        return a[0] + a[1]
+
+    def _from_index(self, i):
+        q, b = self.base.q, self.base._from_index
+        return (b(i % q), b(i // q))
+
+    def from_int(self, n):
+        return FieldElement(self, self.embed(self.base.from_int(n).payload))
+
+    def generator(self):
+        """The element u with u^2 = nonsquare."""
+        return FieldElement(self, (self.base._zero, self.base._one))
+
+    def __repr__(self):
+        return f"TowerField(p={self.p}, k={self.base.k})"
+
+
 def ctx_new(p, modulus):
     """Validated field context; see FieldCtx."""
     return FieldCtx(p, modulus)
 
 
 class FieldElement:
-    """Immutable element of F_{p^k} (base level) or F_{p^{2k}} (quad level)."""
+    """Immutable element of a base field F_q or of its tower F_{q^2}."""
 
-    __slots__ = ("ctx", "level", "payload")
+    __slots__ = ("field", "payload")
 
-    def __init__(self, ctx, level, payload):
-        self.ctx = ctx
-        self.level = level
+    def __init__(self, field, payload):
+        self.field = field
         self.payload = payload
 
-    # -- level handling ----------------------------------------------------
-
-    def promote(self):
-        if self.level == QUAD:
-            return self
-        return FieldElement(self.ctx, QUAD, (self.payload, self.ctx._zero_b))
-
-    def try_demote(self):
-        """Base-level view when the tower coordinate vanishes, else self."""
-        if self.level == QUAD and self.payload[1] == self.ctx._zero_b:
-            return FieldElement(self.ctx, BASE, self.payload[0])
-        return self
-
     def _pair(self, other):
+        """(F, x, y): both operands as payloads of one field object F.
+
+        A base operand is embedded when the other one lies in the tower.
+        """
+        F = self.field
         if isinstance(other, int):
-            other = self.ctx.from_int(other, self.level)
-        elif not isinstance(other, FieldElement):
-            return None, None
-        elif self.ctx is not other.ctx:
-            self.ctx.check_same(other.ctx)
-        if self.level == other.level:
-            return self, other
-        return self.promote(), other.promote()
+            return F, self.payload, F.from_int(other).payload
+        if not isinstance(other, FieldElement):
+            return None, None, None
+        G = other.field
+        x, y = self.payload, other.payload
+        if G is not F:
+            F.base.check_same(G.base)
+            if F.base is F and G.base is not G:
+                return G, G.embed(x), y
+            if G.base is G and F.base is not F:
+                return F, x, F.embed(y)
+        return F, x, y
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        a, b = self._pair(other)
-        if a is None:
+        F, x, y = self._pair(other)
+        if F is None:
             return NotImplemented
-        op = a.ctx._badd if a.level == BASE else a.ctx._qadd
-        return FieldElement(a.ctx, a.level, op(a.payload, b.payload))
+        return FieldElement(F, F.add(x, y))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        if a is None:
+        F, x, y = self._pair(other)
+        if F is None:
             return NotImplemented
-        op = a.ctx._bsub if a.level == BASE else a.ctx._qsub
-        return FieldElement(a.ctx, a.level, op(a.payload, b.payload))
+        return FieldElement(F, F.sub(x, y))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        a, b = self._pair(other)
-        if a is None:
+        F, x, y = self._pair(other)
+        if F is None:
             return NotImplemented
-        op = a.ctx._bmul if a.level == BASE else a.ctx._qmul
-        return FieldElement(a.ctx, a.level, op(a.payload, b.payload))
+        return FieldElement(F, F.mul(x, y))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        op = self.ctx._bneg if self.level == BASE else self.ctx._qneg
-        return FieldElement(self.ctx, self.level, op(self.payload))
+        F = self.field
+        return FieldElement(F, F.neg(self.payload))
 
     def inverse(self):
-        op = self.ctx._binv if self.level == BASE else self.ctx._qinv
-        return FieldElement(self.ctx, self.level, op(self.payload))
+        F = self.field
+        return FieldElement(F, F.inv(self.payload))
 
     def __truediv__(self, other):
-        a, b = self._pair(other)
-        if a is None:
+        F, x, y = self._pair(other)
+        if F is None:
             return NotImplemented
-        return a * b.inverse()
+        return FieldElement(F, F.mul(x, F.inv(y)))
 
     def __rtruediv__(self, other):
         return self.inverse().__mul__(other)
@@ -522,30 +570,29 @@ class FieldElement:
     def __pow__(self, e):
         if e < 0:
             return self.inverse() ** (-e)
-        op = self.ctx._bpow if self.level == BASE else self.ctx._qpow
-        return FieldElement(self.ctx, self.level, op(self.payload, e))
+        F = self.field
+        return FieldElement(F, F.pow(self.payload, e))
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = self.ctx.from_int(other, self.level)
-        if not isinstance(other, FieldElement):
+            other = self.field.from_int(other)
+        elif not isinstance(other, FieldElement):
             return NotImplemented
-        if not self.ctx.same_field(other.ctx):
+        if other.field is self.field:
+            return self.payload == other.payload
+        if not self.field.base.same_field(other.field.base):
             return False
-        a, b = (self, other) if self.level == other.level else (
-            self.promote(),
-            other.promote(),
-        )
-        return a.payload == b.payload
+        return self._lowest()[1] == other._lowest()[1]
 
     def __hash__(self):
-        c = self.try_demote()
-        return hash((c.ctx.p, c.ctx.modulus, c.level, c.payload))
+        F, x = self._lowest()
+        return hash((F.p, F.base.modulus, x))
+
+    def _lowest(self):
+        return self.field.lowest(self.payload)
 
     def is_zero(self):
-        if self.level == BASE:
-            return self.payload == self.ctx._zero_b
-        return self.payload[0] == self.ctx._zero_b and self.payload[1] == self.ctx._zero_b
+        return self.payload == self.field._zero
 
     def __bool__(self):
         return not self.is_zero()
@@ -553,107 +600,59 @@ class FieldElement:
     # -- field structure ---------------------------------------------------
 
     def is_square(self):
-        """Euler's criterion at base level; the norm criterion at the quadratic
-        level, where x is a square exactly when N(x) is a base square."""
-        ctx = self.ctx
-        a = self.payload if self.level == BASE else ctx._qnorm(self.payload)
-        return a == ctx._zero_b or ctx._bpow(a, (ctx.q - 1) // 2) == ctx._one_b
+        return self.field.is_square(self.payload)
 
     def sqrt(self):
-        """Canonical square root; promotes to the quadratic level when needed.
+        """Canonical square root, in the tower when the base has none.
 
         Among {s, -s} the root with the lexicographically smaller integer
-        encoding is returned.  Raises TowerExhausted for a quadratic-level
-        non-square: that would need a context one level higher.
+        encoding is returned.  Raises TowerExhausted for a non-square of the
+        tower: that would need a context one level higher.
         """
-        ctx = self.ctx
-        base = self.level == BASE
-        s = ctx._qsqrt((self.payload, ctx._zero_b) if base else self.payload)
+        F, x = self.field, self.payload
+        s = F.sqrt(x)
         if s is None:
-            raise TowerExhausted(
-                "element is not a square in F_{p^{2k}}; rebuild the context one level up"
-            )
-        # pairs of equal-length tuples order like their encoding_key()
-        s = min(s, ctx._qneg(s))
-        if base and s[1] == ctx._zero_b:
-            return FieldElement(ctx, BASE, s[0])
-        return FieldElement(ctx, QUAD, s)
+            if F.tower is F:
+                raise TowerExhausted(
+                    "element is not a square in F_{p^{2k}}; rebuild the context one level up"
+                )
+            s, F = (F._zero, F.sqrt(F.mul(x, F._ns_inv))), F.tower
+        # payload tuples order like their encoding_key()
+        return FieldElement(F, min(s, F.neg(s)))
 
     def frobenius(self):
         """The p-power map x -> x^p."""
-        if self.level == BASE and self.ctx.k == 1:
-            return self
-        return self ** self.ctx.p
+        return self ** self.field.p
 
     def in_prime_field(self):
         """Whether x^p = x, i.e. x lies in F_p.
 
-        In the power basis this is exactly "all non-constant coordinates
-        vanish", which is what gets checked.
+        In the power basis this is exactly "a base value whose non-constant
+        coordinates vanish", which is what gets checked.
         """
-        if self.level == QUAD:
-            if self.payload[1] != self.ctx._zero_b:
-                return False
-            c = self.payload[0]
-        else:
-            c = self.payload
-        return all(v == 0 for v in c[1:])
+        F, x = self._lowest()
+        return F is F.base and not any(x[1:])
 
     def as_prime_int(self):
         """Integer representative in [0, p); requires in_prime_field()."""
         if not self.in_prime_field():
             raise ValueError("element does not lie in the prime field")
-        c = self.payload[0] if self.level == QUAD else self.payload
-        return c[0]
+        return self._lowest()[1][0]
 
     # -- encoding ----------------------------------------------------------
 
     def encoding_key(self):
-        if self.level == BASE:
-            return self.payload
-        return self.payload[0] + self.payload[1]
+        return self.field.key(self.payload)
 
     def encode(self):
-        """JSON form: [ints] at base level, [[ints], [ints]] at quadratic level.
+        """JSON form: [ints] for a base value, [[ints], [ints]] otherwise.
 
-        Quadratic elements with zero tower coordinate demote to the base form
-        so that equal values always serialize identically.
+        Tower elements with zero u-coordinate take the base form so that
+        equal values always serialize identically.
         """
-        c = self.try_demote()
-        if c.level == BASE:
-            return list(c.payload)
-        return [list(c.payload[0]), list(c.payload[1])]
+        F, x = self._lowest()
+        return F.encode(x)
 
     def __repr__(self):
-        return f"FieldElement({self.encode()!r} over F_{self.ctx.p}^{self.ctx.k})"
-
-
-def arith(x, y, op):
-    """Named-operation wrapper: op in {'add', 'sub', 'mul', 'div'}."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        if y.is_zero():
-            raise DivisionByZero("division by zero")
-        return x / y
-    raise ValueError(f"unknown op {op!r}")
-
-
-def is_square(x):
-    return x.is_square()
-
-
-def sqrt(x):
-    return x.sqrt()
-
-
-def frobenius(x):
-    return x.frobenius()
-
-
-def in_prime_field(x):
-    return x.in_prime_field()
+        k = self.field.base.k
+        return f"FieldElement({self.encode()!r} over F_{self.field.p}^{k})"

@@ -9,8 +9,9 @@ s_i of the r_i:
     V(x) = [ sum_{j=1..g} s_{2j-1} (a-x)^{g-j+1} ] - b - s_1 * (-1)^g U(x)
 
 and the map is inverted by r_i = s_1 + (-1)^g V(alpha_i) / U(alpha_i).
-All root-tuple arithmetic runs at the tower (quadratic) level for a uniform
-code path; rational results are detected afterwards coefficient-wise.
+Each r_i lies in the base field or in its quadratic tower, and the
+arithmetic goes to the tower only where an operand lies there; rational
+results are detected afterwards coefficient-wise.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .errors import (
     TowerExhausted,
     WeierstrassCollision,
 )
-from .field import QUAD
 from .poly import Poly, elementary_symmetric, gcd
 from .jacobian import MumfordDivisor, add, to_class
 
@@ -41,11 +41,10 @@ class SqrtTuple:
             self._check()
 
     def _check(self):
-        a = self.point.a.promote()
-        b = self.point.b.promote()
-        prod = self.curve.ctx.one(QUAD)
+        a, b = self.point.a, self.point.b
+        prod = self.curve.ctx.one()
         for ri, alpha in zip(self.r, self.curve.roots):
-            if ri * ri != a - alpha.promote():
+            if ri * ri != a - alpha:
                 raise InternalInvariantViolation("r_i^2 != a - alpha_i")
             prod = prod * ri
         if prod != -b:
@@ -101,12 +100,11 @@ def sqrt_tuples(point):
     curve = point.curve
     ctx = curve.ctx
     g = curve.g
-    a = point.a.promote()
-    b = point.b.promote()
+    a, b = point.a, point.b
     rhos = []
     for i, alpha in enumerate(curve.roots, start=1):
         try:
-            rhos.append((a - alpha.promote()).sqrt().promote())
+            rhos.append((a - alpha).sqrt())
         except TowerExhausted:
             raise TowerExhausted(
                 f"point {[point.a.encode(), point.b.encode()]}: a - alpha_{i} is not "
@@ -128,7 +126,7 @@ def sqrt_tuples(point):
             if counter >> bit & 1:
                 r[i] = -r[i]
         if forced is not None:
-            prod = ctx.one(QUAD)
+            prod = ctx.one()
             for i in free:
                 prod = prod * r[i]
             r[forced] = (-b) / prod
@@ -141,26 +139,25 @@ def mumford_from_tuple(tup, verify=True):
     curve = tup.curve
     ctx = curve.ctx
     g = curve.g
-    a = tup.point.a.promote()
-    b = tup.point.b.promote()
+    a, b = tup.point.a, tup.point.b
     s = elementary_symmetric(ctx, tup.r)
 
-    amx = Poly(ctx, (a, ctx.from_int(-1, QUAD)), QUAD)  # the polynomial a - x
-    amx_pows = [Poly(ctx, (1,), QUAD)]
+    amx = Poly(ctx, (a, -1))  # the polynomial a - x
+    amx_pows = [Poly(ctx, (1,))]
     for _ in range(g):
         amx_pows.append(amx_pows[-1] * amx)
 
     w = amx_pows[g]
     for j in range(1, g + 1):
-        w = w + s[2 * j - 1] * amx_pows[g - j]  # s_{2j} is s[2j-1] (0-based)
-    sign = ctx.from_int((-1) ** g, QUAD)
-    u_poly = sign * w
+        w = w + amx_pows[g - j] * s[2 * j - 1]  # s_{2j} is s[2j-1] (0-based)
+    sign = (-1) ** g
+    u_poly = w * sign
 
-    v_poly = Poly.zero(ctx, QUAD)
+    v_poly = Poly.zero(ctx)
     for j in range(1, g + 1):
-        v_poly = v_poly + s[2 * j - 2] * amx_pows[g - j + 1]  # s_{2j-1}
-    v_poly = v_poly - Poly.constant(b) - s[0] * w
-    v_d = sign * s[0] * u_poly + v_poly
+        v_poly = v_poly + amx_pows[g - j + 1] * s[2 * j - 2]  # s_{2j-1}
+    v_poly = v_poly - b - w * s[0]
+    v_d = u_poly * (s[0] * sign) + v_poly
 
     divisor = MumfordDivisor(curve, u_poly, v_poly, validate=False)
     half = HalfClass(divisor, tup, s, v_d)
@@ -173,7 +170,7 @@ def _verify_structure(half):
     curve = half.divisor.curve
     g = curve.g
     u_poly, v_poly = half.U, half.V
-    f = curve.f_at(QUAD)
+    f = curve.f
     if u_poly.degree() != g or not u_poly.is_monic():
         raise InternalInvariantViolation("U is not monic of degree g")
     if v_poly.degree() >= g:
@@ -207,7 +204,7 @@ def halve(point, verify=True):
         for h in halves:
             if add(h.divisor, h.divisor) != target:
                 raise InternalInvariantViolation("double(half) != class of P")
-            if point.b.is_zero() and not h.U(point.a.promote()):
+            if point.b.is_zero() and not h.U(point.a):
                 raise InternalInvariantViolation("P lies in the support of a half")
     return halves
 
@@ -236,14 +233,12 @@ def recover_tuple(d, point=None, s1=None):
         raise NotAHalf("divisor does not double to the given point")
 
     g = curve.g
-    sign = curve.ctx.from_int((-1) ** g, QUAD)
-    u_poly = divisor.U.promote()
-    v_poly = divisor.V.promote()
+    sign = (-1) ** g
     r = []
     for alpha in curve.roots:
-        ua = u_poly(alpha.promote())
+        ua = divisor.U(alpha)
         if ua.is_zero():
             raise WeierstrassCollision("U vanishes at a curve root")
-        r.append(s1 + sign * v_poly(alpha.promote()) / ua)
+        r.append(s1 + divisor.V(alpha) * sign / ua)
     index = getattr(d, "index", -1) if isinstance(d, HalfClass) else -1
     return SqrtTuple(curve, point, r, index)

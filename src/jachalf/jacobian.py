@@ -16,7 +16,6 @@ from .errors import (
     InvalidDivisor,
     NotOnCurve,
 )
-from .field import BASE, QUAD
 from .poly import Poly, from_roots, gcd, xgcd
 
 # x-candidates enumerated by torsion_scan; q_tower above this refuses to run
@@ -26,16 +25,16 @@ SCAN_LIMIT = 10**6
 class Curve:
     """y^2 = f(x) = prod (x - alpha_i) with 2g+1 distinct roots, odd char."""
 
-    __slots__ = ("ctx", "g", "roots", "f", "_f_quad")
+    __slots__ = ("ctx", "g", "roots", "f")
 
     def __init__(self, ctx, roots):
         rs = []
         for r in roots:
             if isinstance(r, int):
                 r = ctx.from_int(r)
-            elif not ctx.same_field(r.ctx):
+            elif not ctx.same_field(r.field.base):
                 raise CtxMismatch("root from a different context")
-            rs.append(r.try_demote())
+            rs.append(r)
         if len(rs) % 2 == 0:
             raise EvenDegree("need an odd number of roots (degree 2g+1 model)")
         if len(rs) < 3:
@@ -48,10 +47,6 @@ class Curve:
         self.g = (len(rs) - 1) // 2
         self.roots = tuple(rs)
         self.f = from_roots(ctx, rs)
-        self._f_quad = self.f.promote()
-
-    def f_at(self, level):
-        return self._f_quad if level == QUAD else self.f
 
     def same_curve(self, other):
         return (
@@ -89,10 +84,7 @@ class Point:
             a = ctx.from_int(a)
         if isinstance(b, int):
             b = ctx.from_int(b)
-        a = a.try_demote()
-        b = b.try_demote()
-        fa = curve.f_at(QUAD)(a.promote())
-        if b.promote() * b.promote() != fa:
+        if b * b != curve.f(a):
             raise NotOnCurve(f"b^2 != f(a) for a={a.encode()}, b={b.encode()}")
         self.a = a
         self.b = b
@@ -161,16 +153,14 @@ class MumfordDivisor:
             return
         if V.degree() >= U.degree():
             raise InvalidDivisor("deg V must be smaller than deg U")
-        f = curve.f_at(U.level if V.level == U.level else QUAD)
-        if not ((V * V - f) % U).is_zero():
+        if not ((V * V - curve.f) % U).is_zero():
             raise InvalidDivisor("U does not divide V^2 - f")
 
     def is_zero(self):
         return self.U.degree() == 0
 
     def key(self):
-        return (tuple(c.try_demote() for c in self.U.coeffs),
-                tuple(c.try_demote() for c in self.V.coeffs))
+        return (self.U, self.V)
 
     def __eq__(self, other):
         if not isinstance(other, MumfordDivisor):
@@ -202,7 +192,7 @@ def to_class(point):
     ctx = curve.ctx
     return MumfordDivisor(
         curve,
-        Poly(ctx, (-point.a, 1), point.a.level),
+        Poly(ctx, (-point.a, 1)),
         Poly.constant(point.b),
         validate=False,
     )
@@ -214,8 +204,7 @@ def add(d1, d2):
     curve = d1.curve
     U1, V1 = d1.U, d1.V
     U2, V2 = d2.U, d2.V
-    level = QUAD if QUAD in (U1.level, V1.level, U2.level, V2.level) else BASE
-    f = curve.f_at(level)
+    f = curve.f
 
     g1, e1, e2 = xgcd(U1, U2)
     if g1.degree() == 0:
@@ -265,14 +254,6 @@ def scalar_mul(n, d):
     return acc
 
 
-def equals(d1, d2):
-    return d1 == d2
-
-
-def is_zero(d):
-    return d.is_zero()
-
-
 def torsion_scan(curve, n_max):
     """Exhaustive affine-point census over the tower field with order checks.
 
@@ -286,12 +267,11 @@ def torsion_scan(curve, n_max):
             f"tower field has {ctx.q2} elements; scan bound is {SCAN_LIMIT}"
         )
     g = curve.g
-    f_q = curve.f_at(QUAD)
     hi = min(int(n_max), 2 * g) if g > 1 else 2
     violations = []
     points = 0
-    for x in ctx.quad_elements():
-        fx = f_q(x)
+    for x in ctx.tower.elements():
+        fx = curve.f(x)
         if fx.is_zero():
             points += 1  # Weierstrass point, 2-torsion: nothing to check
             continue

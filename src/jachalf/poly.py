@@ -1,146 +1,192 @@
-"""Dense univariate polynomials over a field context.
+"""Dense univariate polynomials over a field object (a context or its tower).
 
-Coefficients are FieldElements, low-to-high, with no trailing zeros; the
-zero polynomial has an empty coefficient tuple and degree -1.  Degrees stay
-tiny here (at most 2g+1), so everything is plain schoolbook arithmetic.
+A Poly holds its field object and a tuple of coefficient payloads,
+low-to-high, with no trailing zeros; the zero polynomial has an empty tuple
+and degree -1.  Arithmetic runs on the payloads through the field object's
+operations; ``coeffs`` gives the coefficients as FieldElements.  An
+operation between a base and a tower operand embeds the base one first, and
+equality and hashing go by value.  Degrees stay tiny here (at most 2g+1), so
+everything is plain schoolbook arithmetic.
 """
 
 from __future__ import annotations
 
 from .errors import CtxMismatch, DivisionByZero
-from .field import BASE, QUAD, FieldElement
+from .field import FieldElement
+
+
+def _trim(F, cs):
+    z = F._zero
+    n = len(cs)
+    while n and cs[n - 1] == z:
+        n -= 1
+    return tuple(cs[:n])
+
+
+def _make(F, cs):
+    """Poly over F from a sequence of payloads, trailing zeros trimmed."""
+    poly = object.__new__(Poly)
+    poly.field = F
+    poly.pc = _trim(F, cs)
+    return poly
+
+
+def _payloads(field, values):
+    """(F, payloads) for ints and FieldElements: F is field.tower when a value
+    lies in the tower, else field; base values are embedded into a tower F."""
+    F = field
+    for v in values:
+        if isinstance(v, FieldElement):
+            if not field.base.same_field(v.field.base):
+                raise CtxMismatch("coefficient from a different context")
+            if v.field.base is not v.field:
+                F = field.tower
+    out = []
+    for v in values:
+        if isinstance(v, int):
+            out.append(F.from_int(v).payload)
+        elif F.base is not F and v.field.base is v.field:
+            out.append(F.embed(v.payload))
+        else:
+            out.append(v.payload)
+    return F, out
 
 
 class Poly:
-    __slots__ = ("ctx", "level", "coeffs")
+    """A polynomial over ``field``; ``pc`` holds its coefficient payloads."""
 
-    def __init__(self, ctx, coeffs, level=None):
-        cs = []
-        for c in coeffs:
-            if isinstance(c, int):
-                c = ctx.from_int(c)
-            elif not ctx.same_field(c.ctx):
-                raise CtxMismatch("coefficient from a different context")
-            cs.append(c)
-        if level is None:
-            level = QUAD if any(c.level == QUAD for c in cs) else BASE
-        if level == QUAD:
-            cs = [c.promote() for c in cs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.ctx = ctx
-        self.level = level
-        self.coeffs = tuple(cs)
+    __slots__ = ("field", "pc")
+
+    def __init__(self, field, coeffs):
+        """Coefficients are ints or FieldElements, low-to-high; the polynomial
+        lies over field.tower when any coefficient does."""
+        F, cs = _payloads(field, list(coeffs))
+        self.field = F
+        self.pc = _trim(F, cs)
 
     @classmethod
-    def zero(cls, ctx, level=BASE):
-        return cls(ctx, (), level)
+    def zero(cls, field):
+        return _make(field, ())
 
     @classmethod
     def constant(cls, c):
-        return cls(c.ctx, (c,), c.level)
+        return _make(c.field, (c.payload,))
 
     @classmethod
-    def x(cls, ctx, level=BASE):
-        return cls(ctx, (0, 1), level)
+    def x(cls, field):
+        return _make(field, (field._zero, field._one))
+
+    @property
+    def coeffs(self):
+        F = self.field
+        return tuple(FieldElement(F, c) for c in self.pc)
 
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self.pc) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.pc
 
     def leading(self):
-        if not self.coeffs:
+        if not self.pc:
             raise DivisionByZero("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return FieldElement(self.field, self.pc[-1])
 
     def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == self.ctx.one(self.level)
-
-    def promote(self):
-        if self.level == QUAD:
-            return self
-        return Poly(self.ctx, self.coeffs, QUAD)
+        return bool(self.pc) and self.pc[-1] == self.field._one
 
     def _pair(self, other):
-        if isinstance(other, FieldElement):
-            other = Poly.constant(other)
+        """(F, a, b): both operands as payload tuples over one field object F.
+
+        A base operand is embedded when the other one lies in the tower.
+        """
+        F, a = self.field, self.pc
+        if isinstance(other, Poly):
+            G, b = other.field, other.pc
+        elif isinstance(other, FieldElement):
+            G, b = other.field, (other.payload,)
         elif isinstance(other, int):
-            other = Poly(self.ctx, (other,), self.level)
-        elif not isinstance(other, Poly):
-            return None, None
-        if not self.ctx.same_field(other.ctx):
-            raise CtxMismatch("polynomials over different contexts")
-        if self.level == other.level:
-            return self, other
-        return self.promote(), other.promote()
+            G, b = F, (F.from_int(other).payload,)
+        else:
+            return None, None, None
+        if b and b[-1] == G._zero:
+            b = ()
+        if G is not F:
+            if not F.base.same_field(G.base):
+                raise CtxMismatch("polynomials over different contexts")
+            if F.base is F and G.base is not G:
+                F, a = G, tuple(map(G.embed, a))
+            elif G.base is G and F.base is not F:
+                b = tuple(map(F.embed, b))
+        return F, a, b
 
     def __add__(self, other):
-        a, b = self._pair(other)
-        if a is None:
+        F, a, b = self._pair(other)
+        if F is None:
             return NotImplemented
-        n = max(len(a.coeffs), len(b.coeffs))
-        zero = a.ctx.zero(a.level)
-        ac = a.coeffs + (zero,) * (n - len(a.coeffs))
-        bc = b.coeffs + (zero,) * (n - len(b.coeffs))
-        return Poly(a.ctx, [x + y for x, y in zip(ac, bc)], a.level)
+        if len(a) < len(b):
+            a, b = b, a
+        add = F.add
+        return _make(F, [add(x, y) for x, y in zip(a, b)] + list(a[len(b):]))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        if a is None:
+        F, a, b = self._pair(other)
+        if F is None:
             return NotImplemented
-        n = max(len(a.coeffs), len(b.coeffs))
-        zero = a.ctx.zero(a.level)
-        ac = a.coeffs + (zero,) * (n - len(a.coeffs))
-        bc = b.coeffs + (zero,) * (n - len(b.coeffs))
-        return Poly(a.ctx, [x - y for x, y in zip(ac, bc)], a.level)
+        sub, n = F.sub, len(b)
+        out = [sub(x, y) for x, y in zip(a, b)]
+        if len(a) > n:
+            out += a[n:]
+        else:
+            out += map(F.neg, b[len(a):])
+        return _make(F, out)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        return Poly(self.ctx, [-c for c in self.coeffs], self.level)
+        F = self.field
+        return _make(F, tuple(map(F.neg, self.pc)))
 
     def __mul__(self, other):
-        a, b = self._pair(other)
-        if a is None:
+        F, a, b = self._pair(other)
+        if F is None:
             return NotImplemented
-        if a.is_zero() or b.is_zero():
-            return Poly.zero(a.ctx, a.level)
-        zero = a.ctx.zero(a.level)
-        out = [zero] * (len(a.coeffs) + len(b.coeffs) - 1)
-        for i, x in enumerate(a.coeffs):
-            if x.is_zero():
+        if not a or not b:
+            return _make(F, ())
+        add, mul, z = F.add, F.mul, F._zero
+        out = [z] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x == z:
                 continue
-            for j, y in enumerate(b.coeffs):
-                out[i + j] = out[i + j] + x * y
-        return Poly(a.ctx, out, a.level)
+            for j, y in enumerate(b):
+                out[i + j] = add(out[i + j], mul(x, y))
+        return _make(F, out)
 
     __rmul__ = __mul__
 
     def __divmod__(self, other):
-        a, b = self._pair(other)
-        if a is None:
+        F, a, b = self._pair(other)
+        if F is None:
             return NotImplemented
-        if b.is_zero():
+        if not b:
             raise DivisionByZero("polynomial division by zero")
-        if a.degree() < b.degree():
-            return Poly.zero(a.ctx, a.level), a
-        lcinv = b.leading().inverse()
-        zero = a.ctx.zero(a.level)
-        r = list(a.coeffs)
-        q = [zero] * (len(a.coeffs) - len(b.coeffs) + 1)
-        db = len(b.coeffs) - 1
+        if len(a) < len(b):
+            return _make(F, ()), _make(F, a)
+        sub, mul, z = F.sub, F.mul, F._zero
+        lcinv = F.inv(b[-1])
+        r = list(a)
+        q = [z] * (len(a) - len(b) + 1)
+        db = len(b) - 1
         for i in range(len(q) - 1, -1, -1):
-            c = r[i + db] * lcinv
-            if not c.is_zero():
+            c = mul(r[i + db], lcinv)
+            if c != z:
                 q[i] = c
-                for j, bc in enumerate(b.coeffs):
-                    r[i + j] = r[i + j] - c * bc
-        return Poly(a.ctx, q, a.level), Poly(a.ctx, r[:db], a.level)
+                for j, bc in enumerate(b):
+                    r[i + j] = sub(r[i + j], mul(c, bc))
+        return _make(F, q), _make(F, r[:db])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -149,38 +195,38 @@ class Poly:
         return divmod(self, other)[1]
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = Poly(self.ctx, (other,), self.level)
-        if not isinstance(other, Poly):
+        if isinstance(other, Poly):
+            if not self.field.base.same_field(other.field.base):
+                return False
+        elif not isinstance(other, int):
             return NotImplemented
-        if not self.ctx.same_field(other.ctx):
-            return False
-        a, b = (self, other) if self.level == other.level else (
-            self.promote(),
-            other.promote(),
-        )
-        return a.coeffs == b.coeffs
+        _, a, b = self._pair(other)
+        return a == b
 
     def __hash__(self):
-        return hash(tuple(c for c in self.coeffs))
+        return hash(self.coeffs)
 
     def monic(self):
         if self.is_zero() or self.is_monic():
             return self
-        inv = self.leading().inverse()
-        return Poly(self.ctx, [c * inv for c in self.coeffs], self.level)
+        F = self.field
+        mul, inv = F.mul, F.inv(self.pc[-1])
+        return _make(F, [mul(c, inv) for c in self.pc])
 
     def __call__(self, x0):
         """Horner evaluation at a field element (or polynomial, for composition)."""
         if isinstance(x0, Poly):
             return self.compose(x0)
-        acc = self.ctx.zero(self.level if x0.level == BASE else QUAD)
-        for c in reversed(self.coeffs):
-            acc = acc * x0 + c
-        return acc
+        F, a, b = self._pair(x0)
+        x = b[0] if b else F._zero
+        add, mul = F.add, F.mul
+        acc = F._zero
+        for c in reversed(a):
+            acc = add(mul(acc, x), c)
+        return FieldElement(F, acc)
 
     def compose(self, inner):
-        acc = Poly.zero(self.ctx, self.level)
+        acc = Poly.zero(self.field)
         for c in reversed(self.coeffs):
             acc = acc * inner + c
         return acc
@@ -192,22 +238,12 @@ class Poly:
         return f"Poly({self.encode()!r})"
 
 
-def poly_arith(a, b, op):
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def xgcd(a, b):
     """Extended gcd with monic result: returns (g, s, t) with s*a + t*b = g."""
-    ctx, level = a.ctx, a.level if a.level == b.level else QUAD
+    one, zero = Poly.constant(a.field.one()), Poly.zero(a.field)
     r0, r1 = a, b
-    s0, s1 = Poly(ctx, (1,), level), Poly.zero(ctx, level)
-    t0, t1 = Poly.zero(ctx, level), Poly(ctx, (1,), level)
+    s0, s1 = one, zero
+    t0, t1 = zero, one
     while not r1.is_zero():
         q, r = divmod(r0, r1)
         r0, r1 = r1, r
@@ -216,8 +252,7 @@ def xgcd(a, b):
     if r0.is_zero():
         return r0, s0, t0
     inv = r0.leading().inverse()
-    scale = Poly.constant(inv)
-    return r0.monic(), s0 * scale, t0 * scale
+    return r0.monic(), s0 * inv, t0 * inv
 
 
 def gcd(a, b):
@@ -226,26 +261,27 @@ def gcd(a, b):
     return a.monic()
 
 
-def from_roots(ctx, roots, level=None):
+def from_roots(field, roots):
     """Monic product of linear factors x - r_i."""
-    rs = [ctx.from_int(r) if isinstance(r, int) else r for r in roots]
-    if level is None:
-        level = QUAD if any(r.level == QUAD for r in rs) else BASE
-    acc = Poly(ctx, (1,), level)
+    F, rs = _payloads(field, list(roots))
+    add, mul, neg = F.add, F.mul, F.neg
+    acc = [F._one]
     for r in rs:
-        acc = acc * Poly(ctx, (-r, 1), level)
-    return acc
+        nr = neg(r)
+        out = [F._zero] + acc  # x * acc
+        for i, c in enumerate(acc):
+            out[i] = add(out[i], mul(nr, c))
+        acc = out
+    return _make(F, acc)
 
 
-def elementary_symmetric(ctx, vals):
+def elementary_symmetric(field, vals):
     """(s_1, ..., s_n) for the given values, by the product recurrence."""
-    vs = [ctx.from_int(v) if isinstance(v, int) else v for v in vals]
-    level = QUAD if any(v.level == QUAD for v in vs) else BASE
-    zero = ctx.zero(level)
-    es = [ctx.one(level)]
+    F, vs = _payloads(field, list(vals))
+    add, mul = F.add, F.mul
+    es = [F._one]
     for v in vs:
-        v = v.promote() if level == QUAD else v
-        es.append(zero)
+        es.append(F._zero)
         for j in range(len(es) - 1, 0, -1):
-            es[j] = es[j] + v * es[j - 1]
-    return tuple(es[1:])
+            es[j] = add(es[j], mul(v, es[j - 1]))
+    return tuple(FieldElement(F, e) for e in es[1:])

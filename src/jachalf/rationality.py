@@ -9,13 +9,11 @@ polynomial factorization is ever needed.
 
 from __future__ import annotations
 
-from . import _intpoly
 from .errors import (
     InternalInvariantViolation,
     NonRationalCurve,
     PointNotRational,
 )
-from .field import QUAD
 from .poly import Poly, from_roots
 
 
@@ -60,8 +58,9 @@ def frobenius_divisor(divisor):
     """Coefficient-wise Frobenius image of a Mumford pair."""
     from .jacobian import MumfordDivisor
 
-    u = Poly(divisor.U.ctx, [c.frobenius() for c in divisor.U.coeffs], divisor.U.level)
-    v = Poly(divisor.V.ctx, [c.frobenius() for c in divisor.V.coeffs], divisor.V.level)
+    ctx = divisor.curve.ctx
+    u = Poly(ctx, [c.frobenius() for c in divisor.U.coeffs])
+    v = Poly(ctx, [c.frobenius() for c in divisor.V.coeffs])
     return MumfordDivisor(divisor.curve, u, v, validate=False)
 
 
@@ -69,7 +68,9 @@ def _require_rational_point(point):
     if point.infinite:
         raise PointNotRational("the point at infinity has no affine coordinates")
     if not (point.a.in_prime_field() and point.b.in_prime_field()):
-        raise PointNotRational("point coordinates lie outside F_p")
+        raise PointNotRational(
+            f"point {[point.a.encode(), point.b.encode()]} has coordinates outside F_p"
+        )
 
 
 def all_halves_rational(point):
@@ -147,19 +148,22 @@ def divisible_by_two_report(point):
     curve = point.curve
     p = curve.ctx.p
     if not all(c.in_prime_field() for c in curve.f.coeffs):
-        raise NonRationalCurve("f does not have F_p coefficients")
+        raise NonRationalCurve(
+            f"curve with roots {[r.encode() for r in curve.roots]}: "
+            "f does not have F_p coefficients"
+        )
     a_int = point.a.as_prime_int()
 
     result = True
     failing = None
     factors = rational_factors(curve)
     for m in factors:
-        d = len(m) - 1
-        z = _intpoly.mod(_intpoly.trim((a_int % p, p - 1)), m, p)
-        if not z:
-            continue  # zero component: 0 = 0^2 counts as a square
-        w = _intpoly.powmod(z, (p**d - 1) // 2, m, p)
-        if w != (1,):
+        # a - x is a square in F_p[x]/(m) exactly when its norm m(a) is 0
+        # (a zero component: 0 = 0^2) or a square in F_p
+        norm = 0
+        for c in reversed(m):
+            norm = (norm * a_int + c) % p
+        if norm and pow(norm, (p - 1) // 2, p) != 1:
             result = False
             failing = list(m)
             break

@@ -5,7 +5,7 @@ roots plus a couple of non-root x-coordinates, and over F_{p^2} (modulus
 x^2 - c for the smallest non-square c) otherwise.
 """
 
-from jachalf.field import BASE, ctx_new
+from jachalf.field import ctx_new
 from jachalf.jacobian import Point, curve_new
 
 
@@ -20,7 +20,7 @@ def make_ctx(p, g):
 
 def random_curve(ctx, g, rng):
     """Curve with 2g+1 distinct roots drawn from the base field."""
-    elements = list(ctx.base_elements())
+    elements = list(ctx.elements())
     roots = rng.sample(elements, 2 * g + 1)
     return curve_new(ctx, roots)
 
@@ -36,7 +36,7 @@ def random_rational_curve(ctx, g, rng):
         return curve_new(ctx, roots)
     # pad with conjugate pairs {beta, beta^p} of non-rational elements
     roots = rng.sample(prime_els, p if n - p >= 2 else n - 2)
-    pool = [e for e in ctx.base_elements() if not e.in_prime_field()]
+    pool = [e for e in ctx.elements() if not e.in_prime_field()]
     rng.shuffle(pool)
     for beta in pool:
         if len(roots) >= n:
@@ -50,9 +50,9 @@ def random_rational_curve(ctx, g, rng):
 
 
 def affine_points(curve, prime_only=False):
-    """All affine points with base-level coordinates, in scan order."""
+    """All affine points with base-field coordinates, in scan order."""
     out = []
-    for a in curve.ctx.base_elements():
+    for a in curve.ctx.elements():
         if prime_only and not a.in_prime_field():
             continue
         fa = curve.f(a)

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from jachalf.field import QUAD, ctx_new
+from jachalf.field import ctx_new
 from jachalf.halving import halve, recover_tuple
 from jachalf.jacobian import Point, add, curve_new, negate, to_class, torsion_scan, zero_class
 from jachalf.poly import Poly, gcd
@@ -105,9 +105,9 @@ def test_criterion_2_eq3_identity(corpus):
     total = 0
     for s in corpus.samples():
         ctx = s.curve.ctx
-        f = s.curve.f_at(QUAD)
-        a = s.point.a.promote()
-        xma = Poly(ctx, (-a, 1), QUAD)
+        f = s.curve.f
+        a = s.point.a
+        xma = Poly(ctx.tower, (-a, 1))
         for h in s.halves:
             total += 1
             if f - h.v_d * h.v_d != xma * h.U * h.U:
@@ -123,9 +123,9 @@ def test_criterion_3_structure(corpus):
     total = 0
     for s in corpus.samples():
         g = s.curve.g
-        f = s.curve.f_at(QUAD)
-        a = s.point.a.promote()
-        b = s.point.b.promote()
+        f = s.curve.f
+        a = s.point.a
+        b = s.point.b
         for h in s.halves:
             total += 1
             ok = (
@@ -150,7 +150,7 @@ def test_criterion_3_structure(corpus):
 def test_criterion_3_strict_u_at_a_nonvanishing():
     curve = curve_new(ctx_new(13, [1]), [0, 2, 5])
     p = Point(curve, 1, 2)  # order 3: 2*cl(P) = cl(iota(P))
-    a = p.a.promote()
+    a = p.a
     assert all(not h.U(a).is_zero() for h in halve(p, verify=False))
 
 

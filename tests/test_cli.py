@@ -173,6 +173,23 @@ class TestCheck:
         assert code == 0
         assert json.loads(out)["result"] is True
 
+    def test_point_outside_prime_field_is_exit_2(self, capsys, g1_curve_file):
+        point = "[[[0],[1]],[[3],[5]]]"
+        code, out, err = run(
+            capsys, ["check", "--curve", g1_curve_file, "--point", point, "divisible-by-2"]
+        )
+        assert code == 2 and out == ""
+        assert "[[[0], [1]], [[3], [5]]]" in err
+
+    def test_curve_outside_prime_field_is_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "f49.json"
+        path.write_text(json.dumps({"p": 7, "modulus": [1, 0, 1], "roots": [[0, 1], [1, 0], [6, 0]]}))
+        code, out, err = run(
+            capsys, ["check", "--curve", str(path), "--point", "1,0", "divisible-by-2"]
+        )
+        assert code == 2 and out == ""
+        assert "[[0, 1], [1, 0], [6, 0]]" in err
+
 
 class TestTorsionScan:
     def test_g2_scan_clean(self, capsys, g2_curve_file):
@@ -225,6 +242,17 @@ class TestParsing:
             capsys, ["halve", "--curve", g1_curve_file, "--point", "[[1e400],[1]]"]
         )
         assert code == 2 and "inf" in err
+
+
+class TestInternalErrors:
+    def test_builtin_error_inside_the_library_is_exit_1(self, capsys, g1_curve_file, monkeypatch):
+        def broken(point):
+            raise TypeError("a bug, not an input error")
+
+        monkeypatch.setattr("jachalf.cli.halve", broken)
+        code, out, err = run(capsys, ["halve", "--curve", g1_curve_file, "--point", "1,0"])
+        assert code == 1 and out == ""
+        assert "internal error" in err
 
 
 class TestSelftest:

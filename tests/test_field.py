@@ -11,7 +11,7 @@ from jachalf.errors import (
     ReducibleModulus,
     TowerExhausted,
 )
-from jachalf.field import BASE, QUAD, ctx_new
+from jachalf.field import ctx_new
 
 
 @pytest.fixture(scope="module")
@@ -80,14 +80,14 @@ class TestArithmetic:
 
     def test_cross_level_coercion(self, f49):
         x = f49.from_int(3)
-        u = f49.tower_generator()
-        assert (x + u) - u == x.promote()
-        assert (x + u).level == QUAD
+        u = f49.tower.generator()
+        assert (x + u) - u == f49.tower.from_int(3)
+        assert (x + u).field is f49.tower
 
 
 def _elements(ctx):
     return st.integers(min_value=0, max_value=ctx.q2 - 1).map(
-        lambda i: ctx.elem(ctx._q_from_index(i), QUAD)
+        lambda i: ctx.tower.elem(ctx.tower._from_index(i))
     )
 
 
@@ -108,10 +108,10 @@ class TestAxioms:
         assert x * (y + z) == x * y + x * z
         assert x + (-x) == 0
         if not x.is_zero():
-            assert x * x.inverse() == f25.one(QUAD)
+            assert x * x.inverse() == f25.tower.one()
 
     def test_inverse_everywhere(self, f27):
-        for x in f27.base_elements():
+        for x in f27.elements():
             if not x.is_zero():
                 assert x * x.inverse() == 1
 
@@ -123,28 +123,28 @@ class TestSqrt:
 
     def test_nonsquare_promotes_to_tower(self, f7):
         s = f7.from_int(3).sqrt()
-        assert s.level == QUAD
+        assert s.field is f7.tower
         assert s * s == 3
 
     def test_tower_exhausted(self, f49):
         # a non-square of F_{49^2} has no root inside the tower
         for i in range(1, f49.q2):
-            x = f49.elem(f49._q_from_index(i), QUAD)
+            x = f49.tower.elem(f49.tower._from_index(i))
             if not x.is_square():
                 with pytest.raises(TowerExhausted):
                     x.sqrt()
                 break
 
     def test_sqrt_squares_back_everywhere(self, f25):
-        for x in f25.base_elements():
+        for x in f25.elements():
             s = x.sqrt()
             assert s * s == x
-            # the root stays at base level exactly for base-level squares
-            assert (s.try_demote().level == BASE) == x.is_square()
+            # the root stays in the base field exactly for base-field squares
+            assert (s.field is f25) == x.is_square()
 
     def test_euler_criterion_matches_brute_force(self, f27):
-        squares = {(x * x).payload for x in f27.base_elements()}
-        for x in f27.base_elements():
+        squares = {(x * x).payload for x in f27.elements()}
+        for x in f27.elements():
             assert x.is_square() == (x.payload in squares)
 
     @pytest.mark.parametrize(
@@ -153,7 +153,7 @@ class TestSqrt:
     def test_quad_level_against_euler(self, p, modulus):
         ctx = ctx_new(p, modulus)
         e = (ctx.q2 - 1) // 2
-        for x in ctx.quad_elements():
+        for x in ctx.tower.elements():
             euler = x.is_zero() or x**e == 1
             assert x.is_square() == euler
             if euler:
@@ -167,7 +167,7 @@ class TestSqrt:
     def test_tonelli_shanks_branch(self):
         # q = 25 = 1 mod 4 exercises the full Tonelli-Shanks loop
         ctx = ctx_new(5, [3, 0, 1])
-        for x in ctx.base_elements():
+        for x in ctx.elements():
             if x.is_square() and not x.is_zero():
                 s = x.sqrt()
                 assert s * s == x
@@ -183,21 +183,21 @@ class TestFrobenius:
         assert (t * t).frobenius() == t * t
 
     def test_homomorphism(self, f27):
-        xs = list(f27.base_elements())
+        xs = list(f27.elements())
         for x in xs[::5]:
             for y in xs[::7]:
                 assert (x * y).frobenius() == x.frobenius() * y.frobenius()
                 assert (x + y).frobenius() == x.frobenius() + y.frobenius()
 
     def test_iterate_k_fixes_base(self, f27):
-        for x in f27.base_elements():
+        for x in f27.elements():
             y = x
             for _ in range(f27.k):
                 y = y.frobenius()
             assert y == x
 
     def test_in_prime_field_matches_frobenius(self, f49):
-        for x in f49.base_elements():
+        for x in f49.elements():
             assert x.in_prime_field() == (x.frobenius() == x)
 
 
@@ -208,11 +208,11 @@ class TestEncoding:
         assert f49.decode([3, 5]) == x
 
     def test_quad_demotes_on_encode(self, f7):
-        x = f7.from_int(4, QUAD)
+        x = f7.tower.from_int(4)
         assert x.encode() == [4]
 
     def test_quad_roundtrip(self, f7):
-        u = f7.tower_generator()
+        u = f7.tower.generator()
         x = 2 + 3 * u
         assert x.encode() == [[2], [3]]
         assert f7.decode([[2], [3]]) == x

@@ -1,0 +1,75 @@
+"""Frozen CLI stdout: byte-for-byte what these requests printed when recorded.
+
+Each case pins the line count, the first line verbatim and the SHA-256 of
+the whole stdout, so a change in canonical roots, in the sign-counter order
+of the halves or in the JSON encoding of either field level shows up here.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from jachalf.cli import main
+
+CURVES = {
+    "g1": {"p": 7, "modulus": [1], "roots": [[0], [1], [6]]},
+    "g2": {"p": 11, "modulus": [1], "roots": [[0], [1], [2], [3], [4]]},
+    "g3": {"p": 13, "modulus": [1], "roots": [[0], [1], [2], [3], [4], [5], [6]]},
+    # F_25 = F_5[t]/(t^2 + 3); the point has a outside F_5
+    "f25": {"p": 5, "modulus": [3, 0, 1], "roots": [[4, 1], [0, 3], [1, 4], [1, 3], [0, 4]]},
+    "p61": {"p": 2**61 - 1, "modulus": [1], "roots": [[0], [1], [2]]},
+}
+
+# (curve, argv after --curve, line count, first line, sha256 of stdout)
+CASES = [
+    (
+        "g1", ["halve", "--point", "4,2"], 4,
+        '{"U":[[[4],[1]],[1]],"V":[[[2],[5]]],"rational":false,"tuple_index":0}',
+        "43e87b2f23546f4932eb865860dbfbb423d72367ade7bc5ce1fe7f5e4dee5c95",
+    ),
+    (
+        "g2", ["halve", "--point", "6,4"], 16,
+        '{"U":[[[0],[6]],[4],[1]],"V":[[1],[[4],[4]]],"rational":false,"tuple_index":0}',
+        "063031c534109c826773204c2ac819b76f2d0d6ab21354d95d49ca20a5855b3a",
+    ),
+    (
+        "g3", ["halve", "--point", "7,3"], 64,
+        '{"U":[[[4],[1]],[[7],[9]],[[12],[8]],[1]],'
+        '"V":[[[10],[11]],[[4],[5]],[[11],[2]]],"rational":false,"tuple_index":0}',
+        "7fbb99e95a851ea3e382cb55c31de6cf008bab6049c886a46d876834550b594c",
+    ),
+    (  # a Weierstrass point: the zero root is pinned, 2g signs are free
+        "g2", ["halve", "--point", "2,0"], 16,
+        '{"U":[[[6],[7]],[[7],[2]],[1]],"V":[[[8],[3]],[[3],[10]]],'
+        '"rational":false,"tuple_index":0}',
+        "579053c8492e6d76872a0674e9cfe5262b4cb9e1c9b7180104a9d81255cb2b1a",
+    ),
+    (
+        "f25", ["halve", "--point", "[[3,1],[2,0]]"], 16,
+        '{"U":[[1,1],[4,3],[1,0]],"V":[[0,4],[1,0]],"rational":false,"tuple_index":0}',
+        "78d9d77e60573d72445c8ec5a2295418904e71c54a133ec6f6246c34280af22b",
+    ),
+    (
+        "p61",
+        ["group", "mul", "--point", "7,605782482086620655", "--scalar", "1234567890123456789"],
+        1,
+        '{"U":[[681149616708006179],[1]],"V":[[1751885244835811179]]}',
+        "5060721dc57e839b4df42b25ee8e34c30dcf88c83756a976a0207e4076deca78",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name,argv,n_lines,first,digest", CASES, ids=[f"{c[0]}-{c[1][0]}-{c[1][2]}" for c in CASES]
+)
+def test_stdout_is_frozen(capsys, tmp_path, name, argv, n_lines, first, digest):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(CURVES[name]))
+    code = main([argv[0], "--curve", str(path)] + argv[1:])
+    out = capsys.readouterr().out
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == n_lines
+    assert lines[0] == first
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from jachalf.errors import InfinityInput, NotAHalf
-from jachalf.field import QUAD, ctx_new
+from jachalf.field import ctx_new
 from jachalf.halving import halve, mumford_from_tuple, recover_tuple, sqrt_tuples
 from jachalf.jacobian import Point, add, curve_new, double, negate, to_class
 from jachalf.poly import Poly, from_roots
@@ -19,7 +19,7 @@ class TestSqrtTuples:
         tuples = sqrt_tuples(p10)
         assert len(tuples) == 4
         # roots of (1 - alpha_i): 1, 0, 2 -> canonical sqrts 1, 0, 3
-        reprs = {tuple(r.try_demote().encode()[0] for r in t.r) for t in tuples}
+        reprs = {tuple(r.encode()[0] for r in t.r) for t in tuples}
         assert reprs == {(1, 0, 3), (6, 0, 3), (1, 0, 4), (6, 0, 4)}
         for t in tuples:
             t._check()
@@ -27,7 +27,7 @@ class TestSqrtTuples:
     def test_product_constraint(self, p42):
         tuples = sqrt_tuples(p42)
         assert len(tuples) == 4
-        b = p42.b.promote()
+        b = p42.b
         for t in tuples:
             prod = t.r[0]
             for ri in t.r[1:]:
@@ -51,7 +51,7 @@ class TestMumfordFromTuple:
         f7 = p10.curve.ctx
         by_tuple = {}
         for t in sqrt_tuples(p10):
-            key = tuple(r.try_demote().encode()[0] for r in t.r)
+            key = tuple(r.encode()[0] for r in t.r)
             half = mumford_from_tuple(t)
             by_tuple[key] = (half.U.encode(), half.V.encode())
         assert by_tuple[(1, 0, 3)] == ([[3], [1]], [[2]])  # (x-4, 2)
@@ -61,9 +61,9 @@ class TestMumfordFromTuple:
     def test_eq3_identity_fixture(self, p10):
         for t in sqrt_tuples(p10):
             half = mumford_from_tuple(t)
-            f = p10.curve.f_at(QUAD)
-            a = p10.a.promote()
-            xma = Poly(p10.curve.ctx, (-a, 1), QUAD)
+            f = p10.curve.f
+            a = p10.a
+            xma = Poly(p10.curve.ctx.tower, (-a, 1))
             assert f - half.v_d * half.v_d == xma * half.U * half.U
 
 
@@ -103,17 +103,17 @@ class TestHalve:
         ctx = curve_g1_f7.ctx
         for t in sqrt_tuples(p):
             half = mumford_from_tuple(t)
-            h_r = from_roots(ctx, t.r, QUAD)
+            h_r = from_roots(ctx.tower, t.r)
             n = len(h_r.coeffs)
-            zero = ctx.zero(QUAD)
-            odd = Poly(ctx, [c if i % 2 else zero for i, c in enumerate(h_r.coeffs)], QUAD)
+            zero = ctx.tower.zero()
+            odd = Poly(ctx.tower, [c if i % 2 else zero for i, c in enumerate(h_r.coeffs)])
             even = h_r - odd
-            a = p.a.promote()
-            amt2 = Poly(ctx, (a, zero, ctx.from_int(-1, QUAD)), QUAD)  # a - t^2
+            a = p.a
+            amt2 = Poly(ctx.tower, (a, zero, ctx.tower.from_int(-1)))  # a - t^2
             # U(x) = (-1)^g prod (x - (a - c_j^2)) means prod(t^2 - a + c_j) is
             # (-1)^g U(a - t^2) up to the same sign convention
-            sign = ctx.from_int((-1) ** curve_g1_f7.g, QUAD)
-            assert odd == Poly.x(ctx, QUAD) * (sign * half.U.compose(amt2))
+            sign = ctx.tower.from_int((-1) ** curve_g1_f7.g)
+            assert odd == Poly.x(ctx.tower) * (sign * half.U.compose(amt2))
             assert even == -half.v_d.compose(amt2)
 
     def test_support_can_contain_involuted_point(self):
@@ -123,13 +123,13 @@ class TestHalve:
         curve = curve_new(ctx, [0, 2, 5])
         p = Point(curve, 1, 2)
         assert double(to_class(p)) == to_class(p.involution())  # order 3
-        a = p.a.promote()
+        a = p.a
         hits = 0
         for h in halve(p, verify=True):
             ua = h.U(a)
             if ua.is_zero():
                 hits += 1
-                assert h.V(a) == -p.b.promote()
+                assert h.V(a) == -p.b
         assert hits == 1
 
     def test_random_small_curves(self):
@@ -158,7 +158,7 @@ class TestRecoverTuple:
             if h.U.encode() == [[3], [1]] and h.V.encode() == [[2]]
         )
         t = recover_tuple(half.divisor, point=p10, s1=half.s[0])
-        assert tuple(r.try_demote().encode()[0] for r in t.r) == (1, 0, 3)
+        assert tuple(r.encode()[0] for r in t.r) == (1, 0, 3)
 
     def test_not_a_half(self, p10, p42):
         half = halve(p10)[0]
@@ -169,7 +169,7 @@ class TestRecoverTuple:
         ctx = curve_g1_f7.ctx
         d = to_class(Point(curve_g1_f7, 1, 0))  # 2-torsion, not a half of (4, 2)
         with pytest.raises(NotAHalf):
-            recover_tuple(d, point=p42, s1=ctx.zero(QUAD))
+            recover_tuple(d, point=p42, s1=ctx.tower.zero())
 
     def test_roundtrip_g2(self, curve_g2_f49):
         rng = random.Random(9)
