@@ -34,7 +34,6 @@ from .jacobian import (
     double,
     involution,
     negate,
-    point_new,
     scalar_mul,
     to_class,
     torsion_scan,

@@ -4,15 +4,9 @@ Subcommands: halve, group, check, torsion-scan, selftest.  All results are
 emitted as JSON lines with sorted keys, so output is byte-deterministic for
 fixed inputs.
 
-Exit codes:
-  0  success
-  1  selftest invariant failure / internal error
-  2  malformed input (files, operands, curve construction), a point whose
-     halves lie above the quadratic tower step, or a `check` on a point or
-     curve not defined over F_p (each message names the offending input)
-  3  point not on curve / invalid divisor
-  4  point at infinity where an affine point is required
-  5  enumeration field too large for a torsion scan
+Exit codes: 0 on success, 1 for a failed selftest or an internal error (a
+library bug, never an input error), and otherwise the ``exit_code`` that the
+raised error's class declares in errors.py, which lists what each code means.
 """
 
 from __future__ import annotations
@@ -22,23 +16,7 @@ import contextlib
 import json
 import sys
 
-from .errors import (
-    CharacteristicTwo,
-    CtxMismatch,
-    CurveMismatch,
-    DuplicateRoot,
-    EvenDegree,
-    FieldTooLarge,
-    InfinityInput,
-    InvalidDivisor,
-    NonRationalCurve,
-    NotOnCurve,
-    NotPrime,
-    ParseError,
-    PointNotRational,
-    ReducibleModulus,
-    TowerExhausted,
-)
+from .errors import InfinityInput, JachalfError, ParseError
 from .field import ctx_new
 from .poly import Poly
 from .jacobian import (
@@ -60,20 +38,6 @@ from .rationality import (
     divisible_by_two_report,
 )
 
-_PARSE_ERRORS = (
-    ParseError,
-    NotPrime,
-    CharacteristicTwo,
-    ReducibleModulus,
-    DuplicateRoot,
-    EvenDegree,
-    CtxMismatch,
-    TowerExhausted,
-    PointNotRational,
-    NonRationalCurve,
-)
-
-
 def _emit(obj):
     sys.stdout.write(json.dumps(obj, separators=(",", ":"), sort_keys=True) + "\n")
 
@@ -87,6 +51,8 @@ def _parsing(what):
         raise ParseError(f"{what} is missing field {exc}") from exc
     except (TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         raise ParseError(f"{what}: {exc}") from exc
+    except RecursionError as exc:  # JSON nested deeper than the parser recurses
+        raise ParseError(f"{what} is nested too deeply") from exc
 
 
 def _read_json(path, what):
@@ -304,21 +270,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InfinityInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except FieldTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except (NotOnCurve, InvalidDivisor, CurveMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except _PARSE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # a library bug, never an input error
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    except JachalfError as exc:
+        if exc.exit_code != 1:
+            print(f"error: {exc}", file=sys.stderr)
+            return exc.exit_code
+        bug = exc
+    except Exception as exc:
+        bug = exc
+    # a library bug, never an input error
+    print(f"internal error: {type(bug).__name__}: {bug}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -1,20 +1,35 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library.
+
+Each class declares the exit code the CLI gives it: 2 for malformed or
+out-of-scope input, 3 for a point off the curve or an invalid divisor, 4 for
+the point at infinity where an affine point is needed, 5 for a field too
+large to scan, and the default 1 for an error that only a library bug can
+raise.
+"""
 
 
 class JachalfError(Exception):
     """Base class for all library errors."""
 
+    exit_code = 1
+
 
 class NotPrime(JachalfError):
     """The characteristic is not a (probable) prime."""
+
+    exit_code = 2
 
 
 class CharacteristicTwo(JachalfError):
     """Characteristic 2 is excluded."""
 
+    exit_code = 2
+
 
 class ReducibleModulus(JachalfError):
     """The extension modulus is not irreducible over F_p."""
+
+    exit_code = 2
 
 
 class DivisionByZero(JachalfError, ZeroDivisionError):
@@ -24,37 +39,55 @@ class DivisionByZero(JachalfError, ZeroDivisionError):
 class CtxMismatch(JachalfError):
     """Operands belong to different field contexts."""
 
+    exit_code = 2
+
 
 class TowerExhausted(JachalfError):
     """A square root would need a field above the quadratic tower step."""
+
+    exit_code = 2
 
 
 class DuplicateRoot(JachalfError):
     """Curve roots must be pairwise distinct."""
 
+    exit_code = 2
+
 
 class EvenDegree(JachalfError):
     """Even-degree models (two points at infinity) are not supported."""
+
+    exit_code = 2
 
 
 class NotOnCurve(JachalfError):
     """The coordinates do not satisfy the curve equation."""
 
+    exit_code = 3
+
 
 class CurveMismatch(JachalfError):
     """Operands belong to different curves."""
+
+    exit_code = 3
 
 
 class InvalidDivisor(JachalfError):
     """A Mumford pair violating monicity, degree bounds, or U | V^2 - f."""
 
+    exit_code = 3
+
 
 class FieldTooLarge(JachalfError):
     """The enumeration field exceeds the desk-scale scan bound."""
 
+    exit_code = 5
+
 
 class InfinityInput(JachalfError):
     """The point at infinity is not accepted here."""
+
+    exit_code = 4
 
 
 class InternalInvariantViolation(JachalfError):
@@ -72,10 +105,16 @@ class WeierstrassCollision(JachalfError):
 class PointNotRational(JachalfError):
     """Point coordinates lie outside the prime field."""
 
+    exit_code = 2
+
 
 class NonRationalCurve(JachalfError):
     """The curve polynomial does not have prime-field coefficients."""
 
+    exit_code = 2
+
 
 class ParseError(JachalfError):
     """Malformed input file or command-line operand."""
+
+    exit_code = 2

@@ -18,9 +18,11 @@ The two field objects share one interface on raw payloads (add, sub, neg,
 mul, inv, pow, is_square, sqrt) and build elements with zero, one, from_int
 and elem.  Base payloads are coefficient tuples over F_p (low-to-high,
 length k); tower payloads are pairs of base payloads (c0, c1) standing for
-c0 + c1*u.  A FieldElement holds the field object of its payload; an
-operation between a base and a tower operand embeds the base one first.
-Equality, hashing and encode() go by value.  All values are immutable.
+c0 + c1*u.  A FieldElement holds the field object of its payload.  Two
+operands meet in join(F, G), the one rule for mixing field objects: the
+tower when exactly one side is a tower, else F; each side's payload is then
+moved there by that field's lift().  Equality, hashing and encode() go by
+value.  All values are immutable.
 """
 
 from __future__ import annotations
@@ -119,7 +121,8 @@ class FieldCtx(_Field):
             raise NotPrime(f"{p} exceeds the machine-word bound (< 2^62)")
         self.p = p
 
-        mod = [_int_value(c, "modulus coefficient") % p for c in modulus]
+        given = [_int_value(c, "modulus coefficient") for c in modulus]
+        mod = [c % p for c in given]
         while mod and mod[-1] == 0:
             mod.pop()
         mod = tuple(mod)
@@ -127,9 +130,11 @@ class FieldCtx(_Field):
             # CLI convention: modulus [1] means the prime field itself.
             mod = (0, 1)
         if len(mod) < 2:
-            raise ReducibleModulus("modulus must have degree >= 1 (or be [1])")
+            raise ReducibleModulus(
+                f"modulus {given} over F_{p} must have degree >= 1 (or be [1])"
+            )
         if mod[-1] != 1:
-            raise ReducibleModulus("modulus must be monic")
+            raise ReducibleModulus(f"modulus {given} over F_{p} must be monic")
         self.k = len(mod) - 1
         self.modulus = mod
         self._mt = mod[:-1]  # low k coefficients, used during reduction
@@ -217,12 +222,17 @@ class FieldCtx(_Field):
         p, k = self.p, self.k
         t = (0, 1) + (0,) * (k - 2)
         if self.pow(t, p**k) != t:
-            raise ReducibleModulus("modulus is not irreducible over F_p")
+            raise ReducibleModulus(
+                f"modulus {list(self.modulus)} is not irreducible over F_{p}"
+            )
         fp = FieldCtx(p, [1])
         m = Poly(fp, self.modulus)
         for d in _divisors(k):
             if gcd(Poly(fp, self.sub(self.pow(t, p**d), t)), m).degree() != 0:
-                raise ReducibleModulus("modulus has a factor of degree dividing k")
+                raise ReducibleModulus(
+                    f"modulus {list(self.modulus)} has a factor over F_{p} "
+                    f"of degree dividing {k}"
+                )
 
     def _find_nonsquare(self):
         e = (self.q - 1) // 2
@@ -316,8 +326,8 @@ class FieldCtx(_Field):
     def encode(self, a):
         return list(a)
 
-    def key(self, a):
-        """The payload flattened to ints, ordered like its encoding."""
+    def lift(self, G, a):
+        """The payload a of G, a field object for this same field, as one of self."""
         return a
 
     # -- element construction --------------------------------------------
@@ -415,10 +425,6 @@ class TowerField(_Field):
         self.sub = lambda a, b: (bsub(a[0], b[0]), bsub(a[1], b[1]))
         self.neg = lambda a: (bneg(a[0]), bneg(a[1]))
 
-    def embed(self, a):
-        """The base payload a as a tower payload."""
-        return (a, self.base._zero)
-
     def _norm(self, a):
         """N(a0 + a1*u) = a0^2 - ns*a1^2, a base payload."""
         base = self.base
@@ -471,15 +477,17 @@ class TowerField(_Field):
     def encode(self, a):
         return [list(a[0]), list(a[1])]
 
-    def key(self, a):
-        return a[0] + a[1]
+    def lift(self, G, a):
+        """The payload a of G, a tower or a base of this same field, as one of self."""
+        return a if G.tower is G else (a, self.base._zero)
 
     def _from_index(self, i):
         q, b = self.base.q, self.base._from_index
         return (b(i % q), b(i // q))
 
     def from_int(self, n):
-        return FieldElement(self, self.embed(self.base.from_int(n).payload))
+        base = self.base
+        return FieldElement(self, self.lift(base, base.from_int(n).payload))
 
     def generator(self):
         """The element u with u^2 = nonsquare."""
@@ -494,6 +502,20 @@ def ctx_new(p, modulus):
     return FieldCtx(p, modulus)
 
 
+def join(F, G):
+    """The field object that holds operands of field objects F and G.
+
+    That is the tower when exactly one of them is a tower, and F otherwise,
+    including two distinct objects for the same field; raises CtxMismatch
+    when F and G belong to different fields.
+    """
+    if G is F:
+        return F
+    if G.base is not F.base:
+        F.base.check_same(G.base)
+    return G if G.tower is G and F.tower is not F else F
+
+
 class FieldElement:
     """Immutable element of a base field F_q or of its tower F_{q^2}."""
 
@@ -504,24 +526,17 @@ class FieldElement:
         self.payload = payload
 
     def _pair(self, other):
-        """(F, x, y): both operands as payloads of one field object F.
-
-        A base operand is embedded when the other one lies in the tower.
-        """
+        """(H, x, y): both operands as payloads of H = join(their fields)."""
         F = self.field
         if isinstance(other, int):
             return F, self.payload, F.from_int(other).payload
         if not isinstance(other, FieldElement):
             return None, None, None
         G = other.field
-        x, y = self.payload, other.payload
-        if G is not F:
-            F.base.check_same(G.base)
-            if F.base is F and G.base is not G:
-                return G, G.embed(x), y
-            if G.base is G and F.base is not F:
-                return F, x, F.embed(y)
-        return F, x, y
+        if G is F:
+            return F, self.payload, other.payload
+        H = join(F, G)
+        return H, H.lift(F, self.payload), H.lift(G, other.payload)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -617,7 +632,7 @@ class FieldElement:
                     "element is not a square in F_{p^{2k}}; rebuild the context one level up"
                 )
             s, F = (F._zero, F.sqrt(F.mul(x, F._ns_inv))), F.tower
-        # payload tuples order like their encoding_key()
+        # payload tuples order like their encode()
         return FieldElement(F, min(s, F.neg(s)))
 
     def frobenius(self):
@@ -640,9 +655,6 @@ class FieldElement:
         return self._lowest()[1][0]
 
     # -- encoding ----------------------------------------------------------
-
-    def encoding_key(self):
-        return self.field.key(self.payload)
 
     def encode(self):
         """JSON form: [ints] for a base value, [[ints], [ints]] otherwise.

@@ -3,10 +3,10 @@
 Given P = (a, b), every choice of square roots r_i of a - alpha_i with
 prod r_i = -b determines one divisor class with 2*class = P.  Its Mumford
 pair comes out of closed formulas in the elementary symmetric functions
-s_i of the r_i:
+s_i of the r_i, linear in the s_i when written in y = a - x:
 
-    U(x) = (-1)^g [ (a-x)^g + sum_{j=1..g} s_{2j} (a-x)^{g-j} ]
-    V(x) = [ sum_{j=1..g} s_{2j-1} (a-x)^{g-j+1} ] - b - s_1 * (-1)^g U(x)
+    U(x) = (-1)^g [ y^g + sum_{j=1..g} s_{2j} y^{g-j} ]
+    V(x) = [ sum_{j=1..g} s_{2j-1} y^{g-j+1} ] - b - s_1 * (-1)^g U(x)
 
 and the map is inverted by r_i = s_1 + (-1)^g V(alpha_i) / U(alpha_i).
 Each r_i lies in the base field or in its quadratic tower, and the
@@ -19,6 +19,7 @@ from __future__ import annotations
 from .errors import (
     InfinityInput,
     InternalInvariantViolation,
+    InvalidDivisor,
     NotAHalf,
     TowerExhausted,
     WeierstrassCollision,
@@ -32,13 +33,11 @@ class SqrtTuple:
 
     __slots__ = ("curve", "point", "r", "index")
 
-    def __init__(self, curve, point, r, index, check=True):
+    def __init__(self, curve, point, r, index):
         self.curve = curve
         self.point = point
         self.r = tuple(r)
         self.index = index
-        if check:
-            self._check()
 
     def _check(self):
         a, b = self.point.a, self.point.b
@@ -92,13 +91,13 @@ def sqrt_tuples(point):
     """All 2^{2g} sign choices, in deterministic counter order.
 
     Counter bit i-1 flips the canonical root of a - alpha_i; the sign of the
-    last coordinate is forced by prod r_i = -b.  For a Weierstrass input the
-    zero coordinate is pinned and the 2g nonzero signs are free instead.
+    last coordinate is forced by prod r_i = -b, so it flips with the parity
+    of the counter.  For a Weierstrass input the zero coordinate is pinned
+    and the 2g nonzero signs are free instead.
     """
     if point.infinite:
         raise InfinityInput("cannot halve the point at infinity")
     curve = point.curve
-    ctx = curve.ctx
     g = curve.g
     a, b = point.a, point.b
     rhos = []
@@ -111,26 +110,27 @@ def sqrt_tuples(point):
                 "a square in F_{p^{2k}}, so its halves lie above the tower"
             ) from None
 
-    if point.b.is_zero():
+    if b.is_zero():
         zero_at = next(i for i, rho in enumerate(rhos) if rho.is_zero())
         free = [i for i in range(2 * g + 1) if i != zero_at]
         forced = None
     else:
         free = list(range(2 * g))
         forced = 2 * g
+        prod = curve.ctx.one()
+        for i in free:
+            prod = prod * rhos[i]
+        rhos[forced] = (-b) / prod
+    signed = [(rho, -rho) for rho in rhos]  # indexed by a sign bit
 
     out = []
     for counter in range(1 << (2 * g)):
         r = list(rhos)
         for bit, i in enumerate(free):
-            if counter >> bit & 1:
-                r[i] = -r[i]
+            r[i] = signed[i][counter >> bit & 1]
         if forced is not None:
-            prod = ctx.one()
-            for i in free:
-                prod = prod * r[i]
-            r[forced] = (-b) / prod
-        out.append(SqrtTuple(curve, point, r, counter, check=False))
+            r[forced] = signed[forced][counter.bit_count() & 1]
+        out.append(SqrtTuple(curve, point, r, counter))
     return out
 
 
@@ -138,26 +138,18 @@ def mumford_from_tuple(tup, verify=True):
     """Mumford pair of the half determined by a sqrt tuple."""
     curve = tup.curve
     ctx = curve.ctx
-    g = curve.g
     a, b = tup.point.a, tup.point.b
     s = elementary_symmetric(ctx, tup.r)
 
-    amx = Poly(ctx, (a, -1))  # the polynomial a - x
-    amx_pows = [Poly(ctx, (1,))]
-    for _ in range(g):
-        amx_pows.append(amx_pows[-1] * amx)
-
-    w = amx_pows[g]
-    for j in range(1, g + 1):
-        w = w + amx_pows[g - j] * s[2 * j - 1]  # s_{2j} is s[2j-1] (0-based)
-    sign = (-1) ** g
-    u_poly = w * sign
-
-    v_poly = Poly.zero(ctx)
-    for j in range(1, g + 1):
-        v_poly = v_poly + amx_pows[g - j + 1] * s[2 * j - 2]  # s_{2j-1}
-    v_poly = v_poly - b - w * s[0]
-    v_d = u_poly * (s[0] * sign) + v_poly
+    # Horner in y = a - x: w = y^g + sum s_{2j} y^(g-j), v = sum s_{2j-1} y^(g-j+1)
+    y = Poly(ctx, (a, -1))
+    w, v = Poly(ctx, (1,)), Poly.zero(ctx)
+    for j in range(1, curve.g + 1):
+        w = w * y + s[2 * j - 1]  # s_{2j}; s is 0-based
+        v = (v + s[2 * j - 2]) * y  # s_{2j-1}
+    v_d = v - b
+    u_poly = -w if curve.g % 2 else w
+    v_poly = v_d - w * s[0]
 
     divisor = MumfordDivisor(curve, u_poly, v_poly, validate=False)
     half = HalfClass(divisor, tup, s, v_d)
@@ -167,20 +159,18 @@ def mumford_from_tuple(tup, verify=True):
 
 
 def _verify_structure(half):
-    curve = half.divisor.curve
-    g = curve.g
-    u_poly, v_poly = half.U, half.V
-    f = curve.f
-    if u_poly.degree() != g or not u_poly.is_monic():
-        raise InternalInvariantViolation("U is not monic of degree g")
-    if v_poly.degree() >= g:
-        raise InternalInvariantViolation("deg V >= g")
-    if (v_poly % u_poly) != v_poly:
-        raise InternalInvariantViolation("V mod U is not a no-op")
-    if gcd(u_poly, f).degree() != 0:
+    """A valid Mumford pair, with the two properties of a half on top:
+    deg U = g and gcd(U, f) = 1."""
+    divisor = half.divisor
+    try:
+        divisor.validate()
+    except InvalidDivisor as exc:
+        raise InternalInvariantViolation(f"half is not a valid Mumford pair: {exc}") from None
+    curve = divisor.curve
+    if divisor.U.degree() != curve.g:
+        raise InternalInvariantViolation("deg U != g")
+    if gcd(divisor.U, curve.f).degree() != 0:
         raise InternalInvariantViolation("U shares a root with f")
-    if not ((v_poly * v_poly - f) % u_poly).is_zero():
-        raise InternalInvariantViolation("U does not divide V^2 - f")
 
 
 def halve(point, verify=True):
@@ -192,8 +182,6 @@ def halve(point, verify=True):
     possible with V(a) = -b there, i.e. the support may contain the
     involuted point but never P.
     """
-    if point.infinite:
-        raise InfinityInput("cannot halve the point at infinity")
     tuples = sqrt_tuples(point)
     halves = [mumford_from_tuple(t, verify=verify) for t in tuples]
     if verify:
@@ -220,9 +208,9 @@ def recover_tuple(d, point=None, s1=None):
             s1 = d.s[0]
         if point is None:
             point = d.tuple.point
-        divisor = d.divisor
+        divisor, index = d.divisor, d.index
     else:
-        divisor = d
+        divisor, index = d, -1
         if point is None or s1 is None:
             raise ValueError("bare divisor needs both the point and s_1")
     if point.infinite:
@@ -240,5 +228,6 @@ def recover_tuple(d, point=None, s1=None):
         if ua.is_zero():
             raise WeierstrassCollision("U vanishes at a curve root")
         r.append(s1 + divisor.V(alpha) * sign / ua)
-    index = getattr(d, "index", -1) if isinstance(d, HalfClass) else -1
-    return SqrtTuple(curve, point, r, index)
+    tup = SqrtTuple(curve, point, r, index)
+    tup._check()
+    return tup

@@ -121,10 +121,6 @@ class Point:
         return f"Point({self.a.encode()}, {self.b.encode()})"
 
 
-def point_new(curve, a, b):
-    return Point(curve, a, b)
-
-
 def involution(point):
     return point.involution()
 

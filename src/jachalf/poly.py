@@ -3,16 +3,16 @@
 A Poly holds its field object and a tuple of coefficient payloads,
 low-to-high, with no trailing zeros; the zero polynomial has an empty tuple
 and degree -1.  Arithmetic runs on the payloads through the field object's
-operations; ``coeffs`` gives the coefficients as FieldElements.  An
-operation between a base and a tower operand embeds the base one first, and
-equality and hashing go by value.  Degrees stay tiny here (at most 2g+1), so
-everything is plain schoolbook arithmetic.
+operations; ``coeffs`` gives the coefficients as FieldElements.  Operands
+over different field objects meet in field.join, and equality and hashing
+go by value.  Degrees stay tiny here (at most 2g+1), so everything is plain
+schoolbook arithmetic.
 """
 
 from __future__ import annotations
 
-from .errors import CtxMismatch, DivisionByZero
-from .field import FieldElement
+from .errors import DivisionByZero
+from .field import FieldElement, join
 
 
 def _trim(F, cs):
@@ -32,24 +32,16 @@ def _make(F, cs):
 
 
 def _payloads(field, values):
-    """(F, payloads) for ints and FieldElements: F is field.tower when a value
-    lies in the tower, else field; base values are embedded into a tower F."""
+    """(F, payloads) for ints and FieldElements, F being field joined with
+    the field of every FieldElement among the values."""
     F = field
     for v in values:
         if isinstance(v, FieldElement):
-            if not field.base.same_field(v.field.base):
-                raise CtxMismatch("coefficient from a different context")
-            if v.field.base is not v.field:
-                F = field.tower
-    out = []
-    for v in values:
-        if isinstance(v, int):
-            out.append(F.from_int(v).payload)
-        elif F.base is not F and v.field.base is v.field:
-            out.append(F.embed(v.payload))
-        else:
-            out.append(v.payload)
-    return F, out
+            F = join(F, v.field)
+    return F, [
+        F.lift(v.field, v.payload) if isinstance(v, FieldElement) else F.from_int(v).payload
+        for v in values
+    ]
 
 
 class Poly:
@@ -96,10 +88,7 @@ class Poly:
         return bool(self.pc) and self.pc[-1] == self.field._one
 
     def _pair(self, other):
-        """(F, a, b): both operands as payload tuples over one field object F.
-
-        A base operand is embedded when the other one lies in the tower.
-        """
+        """(H, a, b): both operands as payload tuples over H = join(their fields)."""
         F, a = self.field, self.pc
         if isinstance(other, Poly):
             G, b = other.field, other.pc
@@ -112,12 +101,12 @@ class Poly:
         if b and b[-1] == G._zero:
             b = ()
         if G is not F:
-            if not F.base.same_field(G.base):
-                raise CtxMismatch("polynomials over different contexts")
-            if F.base is F and G.base is not G:
-                F, a = G, tuple(map(G.embed, a))
-            elif G.base is G and F.base is not F:
-                b = tuple(map(F.embed, b))
+            H = join(F, G)
+            if H is not F:
+                a = tuple([H.lift(F, c) for c in a])
+            if H is not G:
+                b = tuple([H.lift(G, c) for c in b])
+            F = H
         return F, a, b
 
     def __add__(self, other):
@@ -261,27 +250,24 @@ def gcd(a, b):
     return a.monic()
 
 
-def from_roots(field, roots):
-    """Monic product of linear factors x - r_i."""
-    F, rs = _payloads(field, list(roots))
-    add, mul, neg = F.add, F.mul, F.neg
-    acc = [F._one]
-    for r in rs:
-        nr = neg(r)
-        out = [F._zero] + acc  # x * acc
-        for i, c in enumerate(acc):
-            out[i] = add(out[i], mul(nr, c))
-        acc = out
-    return _make(F, acc)
-
-
-def elementary_symmetric(field, vals):
-    """(s_1, ..., s_n) for the given values, by the product recurrence."""
-    F, vs = _payloads(field, list(vals))
+def _symmetric(F, vs):
+    """[e_0, e_1, ..., e_n] of the payloads vs, by the product recurrence."""
     add, mul = F.add, F.mul
     es = [F._one]
     for v in vs:
         es.append(F._zero)
         for j in range(len(es) - 1, 0, -1):
             es[j] = add(es[j], mul(v, es[j - 1]))
-    return tuple(FieldElement(F, e) for e in es[1:])
+    return es
+
+
+def from_roots(field, roots):
+    """Monic product of linear factors x - r_i, which is sum_j e_j(-r) x^(n-j)."""
+    F, rs = _payloads(field, list(roots))
+    return _make(F, _symmetric(F, map(F.neg, rs))[::-1])
+
+
+def elementary_symmetric(field, vals):
+    """(s_1, ..., s_n) for the given values."""
+    F, vs = _payloads(field, list(vals))
+    return tuple(FieldElement(F, e) for e in _symmetric(F, vs)[1:])

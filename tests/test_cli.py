@@ -5,6 +5,7 @@ import json
 import pytest
 
 from jachalf.cli import main
+from jachalf.errors import InternalInvariantViolation
 
 
 @pytest.fixture()
@@ -243,6 +244,21 @@ class TestParsing:
         )
         assert code == 2 and "inf" in err
 
+    def test_reducible_modulus_is_exit_2_naming_it(self, capsys, tmp_path):
+        # t^8 + 1 splits into quadratics over F_7, as 16 divides 7^2 - 1
+        path = tmp_path / "bad.json"
+        modulus = [1, 0, 0, 0, 0, 0, 0, 0, 1]
+        path.write_text(json.dumps({"p": 7, "modulus": modulus, "roots": [[0], [1], [6]]}))
+        code, out, err = run(capsys, ["halve", "--curve", str(path), "--point", "1,0"])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(modulus) in err
+
+    def test_deeply_nested_point_is_exit_2(self, capsys, g1_curve_file):
+        point = "[" * 5000 + "]" * 5000
+        code, out, err = run(capsys, ["halve", "--curve", g1_curve_file, "--point", point])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "nested too deeply" in err
+
 
 class TestInternalErrors:
     def test_builtin_error_inside_the_library_is_exit_1(self, capsys, g1_curve_file, monkeypatch):
@@ -253,6 +269,15 @@ class TestInternalErrors:
         code, out, err = run(capsys, ["halve", "--curve", g1_curve_file, "--point", "1,0"])
         assert code == 1 and out == ""
         assert "internal error" in err
+
+    def test_library_bug_error_class_is_exit_1(self, capsys, g1_curve_file, monkeypatch):
+        def broken(point):
+            raise InternalInvariantViolation("double(half) != class of P")
+
+        monkeypatch.setattr("jachalf.cli.halve", broken)
+        code, out, err = run(capsys, ["halve", "--curve", g1_curve_file, "--point", "1,0"])
+        assert code == 1 and out == ""
+        assert err.startswith("internal error: InternalInvariantViolation: double(half)")
 
 
 class TestSelftest:

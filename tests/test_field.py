@@ -84,6 +84,25 @@ class TestArithmetic:
         assert (x + u) - u == f49.tower.from_int(3)
         assert (x + u).field is f49.tower
 
+    def test_mixed_operands_across_two_contexts(self):
+        # two context objects for the same field F_7; u^2 = v^2 = 3
+        c1, c2 = ctx_new(7, [1]), ctx_new(7, [1])
+        x, y = c1.from_int(3), c2.from_int(5)
+        u, v = c1.tower.generator(), c2.tower.generator()
+        cases = [  # a, b, field of the result, encodings of a + b and a * b
+            (x, v, c2.tower, [[3], [1]], [[0], [3]]),  # base x tower
+            (u, y, c1.tower, [[5], [1]], [[0], [5]]),  # tower x base
+            (u, v, c1.tower, [[0], [2]], [3]),  # tower x tower
+            (x, y, c1, [1], [1]),  # base x base
+        ]
+        for a, b, field, total, product in cases:
+            assert (a + b).field is field and (a * b).field is field
+            assert (a + b).encode() == total and (a * b).encode() == product
+            assert (b + a).encode() == total and (b * a).encode() == product
+        assert x == c2.from_int(3) and u == v
+        assert c1.tower.from_int(3) == c2.from_int(3) and x == c2.tower.from_int(3)
+        assert u != c2.from_int(3) and x != v
+
 
 def _elements(ctx):
     return st.integers(min_value=0, max_value=ctx.q2 - 1).map(
@@ -159,7 +178,7 @@ class TestSqrt:
             if euler:
                 s = x.sqrt()
                 assert s * s == x
-                assert s == min(s, -s, key=lambda y: y.encoding_key())
+                assert s == min(s, -s, key=lambda y: y.encode())
             else:
                 with pytest.raises(TowerExhausted):
                     x.sqrt()

@@ -36,6 +36,26 @@ class TestBasics:
         xm4 = Poly(ctx, [-4, 1])
         assert xm4 * xm4 == Poly(ctx, [2, -1, 1])
 
+    def test_mixed_operands_across_two_contexts(self):
+        # two context objects for the same field F_7; u^2 = v^2 = 3
+        c1, c2 = ctx_new(7, [1]), ctx_new(7, [1])
+        u, v = c1.tower.generator(), c2.tower.generator()
+        b1, b2 = Poly(c1, [3, 1]), Poly(c2, [3, 1])  # x + 3
+        t1, t2 = Poly(c1.tower, [u, 1]), Poly(c2.tower, [v, 1])  # x + u
+        cases = [  # a, b, field of the result, encodings of a + b and a * b
+            (b1, t2, c2.tower, [[[3], [1]], [2]], [[[0], [3]], [[3], [1]], [1]]),
+            (t1, b2, c1.tower, [[[3], [1]], [2]], [[[0], [3]], [[3], [1]], [1]]),
+            (t1, t2, c1.tower, [[[0], [2]], [2]], [[3], [[0], [2]], [1]]),
+            (b1, b2, c1, [[6], [2]], [[2], [6], [1]]),
+        ]
+        for a, b, field, total, product in cases:
+            assert (a + b).field is field and (a * b).field is field
+            assert (a + b).encode() == total and (a * b).encode() == product
+            assert (b + a).encode() == total and (b * a).encode() == product
+        assert b1 == b2 and t1 == t2 and t1 != b2
+        assert Poly(c1.tower, [3, 1]) == b2 and b1 == Poly(c2.tower, [3, 1])
+        assert Poly(c1, [v, 1]).field is c2.tower and Poly(c1, [v, 1]) == t1
+
 
 class TestDivmod:
     def test_example(self, ctx):
