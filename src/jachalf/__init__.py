@@ -32,7 +32,6 @@ from .jacobian import (
     add,
     curve_new,
     double,
-    involution,
     negate,
     scalar_mul,
     to_class,

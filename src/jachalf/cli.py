@@ -38,6 +38,18 @@ from .rationality import (
     divisible_by_two_report,
 )
 
+_KEEP = 200  # characters kept at each end of a long error message
+
+
+def _clip(message):
+    """A long message keeps its head, which names the input, and its tail,
+    which says what is wrong with it; the middle is cut and marked."""
+    cut = len(message) - 2 * _KEEP
+    if cut <= 40:  # no shorter than with the mark
+        return message
+    return f"{message[:_KEEP]} [... {cut} characters cut ...] {message[-_KEEP:]}"
+
+
 def _emit(obj):
     sys.stdout.write(json.dumps(obj, separators=(",", ":"), sort_keys=True) + "\n")
 
@@ -272,13 +284,13 @@ def main(argv=None):
         return args.func(args)
     except JachalfError as exc:
         if exc.exit_code != 1:
-            print(f"error: {exc}", file=sys.stderr)
+            print(f"error: {_clip(str(exc))}", file=sys.stderr)
             return exc.exit_code
         bug = exc
     except Exception as exc:
         bug = exc
     # a library bug, never an input error
-    print(f"internal error: {type(bug).__name__}: {bug}", file=sys.stderr)
+    print(f"internal error: {_clip(f'{type(bug).__name__}: {bug}')}", file=sys.stderr)
     return 1
 
 

@@ -15,7 +15,7 @@ class JachalfError(Exception):
 
 
 class NotPrime(JachalfError):
-    """The characteristic is not a (probable) prime."""
+    """The characteristic is not an odd prime below 2^62."""
 
     exit_code = 2
 

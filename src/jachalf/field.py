@@ -7,6 +7,9 @@ F_q[u]/(u^2 - ns), where ns is the smallest non-square of the base field;
 every base element has a square root there, which is all the halving
 formulas ever need.
 
+p must lie below 2^62, which is checked first; primality is then decided by
+Miller-Rabin to the first twelve prime bases, which is exact in that range.
+
 Square roots and square tests cost O(log q) base-field operations in both
 fields, plus Tonelli-Shanks' O(e^2) where 2^e exactly divides q - 1.  A base
 element is tested by Euler's criterion and rooted by Tonelli-Shanks with ns.
@@ -29,8 +32,6 @@ from __future__ import annotations
 
 import operator
 
-from sympy import isprime
-
 from .errors import (
     CharacteristicTwo,
     CtxMismatch,
@@ -40,6 +41,36 @@ from .errors import (
     ReducibleModulus,
     TowerExhausted,
 )
+
+
+# The first twelve primes.  As Miller-Rabin bases they are exact below 2^62:
+# the least strong pseudoprime to all of them is about 3.2e23 (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_odd_prime(n):
+    """Whether n is an odd prime; exact for n < 2^62, the only n asked."""
+    if n < 3 or n % 2 == 0:
+        return False
+    for b in _MR_BASES[1:]:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _divisors(n):
@@ -115,10 +146,10 @@ class FieldCtx(_Field):
         p = _int_value(p, "p")
         if p == 2:
             raise CharacteristicTwo("characteristic 2 is not supported")
-        if p < 2 or not isprime(p):
-            raise NotPrime(f"{p} is not an odd prime")
-        if p.bit_length() > 62:
+        if p >= 2**62:
             raise NotPrime(f"{p} exceeds the machine-word bound (< 2^62)")
+        if not _is_odd_prime(p):
+            raise NotPrime(f"{p} is not an odd prime")
         self.p = p
 
         given = [_int_value(c, "modulus coefficient") for c in modulus]

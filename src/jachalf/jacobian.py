@@ -121,10 +121,6 @@ class Point:
         return f"Point({self.a.encode()}, {self.b.encode()})"
 
 
-def involution(point):
-    return point.involution()
-
-
 class MumfordDivisor:
     """Reduced divisor class in Mumford form (U, V); (1, 0) is the zero class."""
 

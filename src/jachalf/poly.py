@@ -184,7 +184,7 @@ class Poly:
         return divmod(self, other)[1]
 
     def __eq__(self, other):
-        if isinstance(other, Poly):
+        if isinstance(other, (Poly, FieldElement)):
             if not self.field.base.same_field(other.field.base):
                 return False
         elif not isinstance(other, int):
@@ -203,10 +203,11 @@ class Poly:
         return _make(F, [mul(c, inv) for c in self.pc])
 
     def __call__(self, x0):
-        """Horner evaluation at a field element (or polynomial, for composition)."""
-        if isinstance(x0, Poly):
-            return self.compose(x0)
+        """Horner evaluation at a field element or int; compose() substitutes
+        a polynomial."""
         F, a, b = self._pair(x0)
+        if F is None or isinstance(x0, Poly):
+            raise TypeError(f"cannot evaluate a polynomial at {x0!r}")
         x = b[0] if b else F._zero
         add, mul = F.add, F.mul
         acc = F._zero

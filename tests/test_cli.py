@@ -1,6 +1,8 @@
 """End-to-end CLI behaviour: subcommands, exit codes, determinism."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -259,6 +261,12 @@ class TestParsing:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "nested too deeply" in err
 
+    def test_long_input_is_not_echoed_in_full(self, capsys, g1_curve_file):
+        point = "[" * 3000 + "]" * 3000
+        code, out, err = run(capsys, ["halve", "--curve", g1_curve_file, "--point", point])
+        assert code == 2 and out == ""
+        assert err.startswith("error: point") and len(err.encode()) <= 512
+
 
 class TestInternalErrors:
     def test_builtin_error_inside_the_library_is_exit_1(self, capsys, g1_curve_file, monkeypatch):
@@ -290,3 +298,14 @@ class TestSelftest:
         _, first, _ = run(capsys, ["selftest"])
         _, second, _ = run(capsys, ["selftest"])
         assert first == second
+
+
+def test_import_loads_only_the_standard_library():
+    code = (
+        "import sys; before = set(sys.modules); import jachalf.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    allowed = sys.stdlib_module_names | {"jachalf"}
+    assert [m for m in proc.stdout.split() if m.partition(".")[0] not in allowed] == []

@@ -11,7 +11,7 @@ from jachalf.errors import (
     ReducibleModulus,
     TowerExhausted,
 )
-from jachalf.field import ctx_new
+from jachalf.field import _is_odd_prime, ctx_new
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +60,45 @@ class TestCtxNew:
     def test_ctx_mismatch_between_fields(self, f7, f49):
         with pytest.raises(CtxMismatch):
             f7.from_int(1) + f49.from_int(1)
+
+
+class TestPrimality:
+    def test_agrees_with_a_sieve_below_10_5(self):
+        n = 10**5
+        sieve = [False, False] + [True] * (n - 2)
+        for i in range(2, int(n**0.5) + 1):
+            if sieve[i]:
+                sieve[i * i :: i] = [False] * len(range(i * i, n, i))
+        sieve[2] = False  # odd primes only
+        assert [m for m in range(n) if _is_odd_prime(m) != sieve[m]] == []
+
+    @pytest.mark.parametrize(
+        "n, prime",
+        [
+            (3825123056546413051, False),  # strong pseudoprime to each prime base <= 31
+            (3215031751, False),  # strong pseudoprime to the bases 2, 3, 5 and 7
+            (561, False),  # Carmichael number
+            (2**61 - 1, True),
+            (2**62 - 57, True),  # the largest prime below 2^62
+        ],
+    )
+    def test_hard_cases(self, n, prime):
+        assert _is_odd_prime(n) is prime
+
+    @pytest.mark.parametrize(
+        "p, error, message",
+        [
+            (2**62, NotPrime, "machine-word bound"),
+            (2**89 - 1, NotPrime, "machine-word bound"),
+            (2, CharacteristicTwo, "characteristic 2"),
+        ],
+    )
+    def test_ctx_new_refuses(self, p, error, message):
+        with pytest.raises(error, match=message):
+            ctx_new(p, [1])
+
+    def test_ctx_new_accepts_the_largest_prime_below_the_bound(self):
+        assert ctx_new(2**62 - 57, [1]).p == 2**62 - 57
 
 
 class TestArithmetic:

@@ -19,7 +19,6 @@ from jachalf.jacobian import (
     add,
     curve_new,
     double,
-    involution,
     negate,
     scalar_mul,
     to_class,
@@ -62,17 +61,17 @@ class TestPoint:
             Point(curve_g1_f7, 3, 1)  # f(3) = 24 = 3 != 1
 
     def test_involution(self, p42):
-        q = involution(p42)
+        q = p42.involution()
         assert q.a == 4 and q.b == 5
-        assert involution(q) == p42
+        assert q.involution() == p42
 
     def test_involution_fixes_infinity(self, curve_g1_f7):
         inf = Point.infinity(curve_g1_f7)
-        assert involution(inf) == inf
+        assert inf.involution() == inf
 
     def test_weierstrass(self, p10):
         assert p10.is_weierstrass()
-        assert involution(p10) == p10
+        assert p10.involution() == p10
 
 
 class TestMumford:
@@ -111,7 +110,7 @@ class TestMumford:
 
 class TestGroupLaw:
     def test_inverse_pair(self, p42):
-        assert add(to_class(p42), to_class(involution(p42))).is_zero()
+        assert add(to_class(p42), to_class(p42.involution())).is_zero()
 
     def test_double_example(self, p42):
         d = double(to_class(p42))
@@ -196,7 +195,7 @@ class TestGroupLaw:
         ctx = ctx_new(13, [1])
         curve = random_curve(ctx, 2, rng)
         for pt in affine_points(curve)[:10]:
-            assert to_class(involution(pt)) == negate(to_class(pt))
+            assert to_class(pt.involution()) == negate(to_class(pt))
 
 
 class TestTorsionScan:

@@ -56,6 +56,22 @@ class TestBasics:
         assert Poly(c1.tower, [3, 1]) == b2 and b1 == Poly(c2.tower, [3, 1])
         assert Poly(c1, [v, 1]).field is c2.tower and Poly(c1, [v, 1]) == t1
 
+    def test_equals_a_field_element_both_ways(self):
+        c, other = ctx_new(7, [1]), ctx_new(11, [1])
+        u = c.tower.generator()
+        cases = [  # polynomial, element, equal
+            (Poly(c, [3]), c.from_int(3), True),
+            (Poly(c, [3]), c.from_int(4), False),
+            (Poly(c, [3]), c.tower.from_int(3), True),
+            (Poly(c.tower, [u]), u, True),
+            (Poly(c.tower, [u]), c.from_int(3), False),
+            (Poly(c, [3, 1]), c.from_int(3), False),
+            (Poly(c, [3]), other.from_int(3), False),
+        ]
+        for poly, elem, equal in cases:
+            assert (poly == elem) is equal and (elem == poly) is equal
+            assert (poly != elem) is not equal and (elem != poly) is not equal
+
 
 class TestDivmod:
     def test_example(self, ctx):
@@ -115,7 +131,9 @@ class TestEval:
     def test_compose(self, ctx):
         f = Poly(ctx, [0, 0, 1])  # x^2
         inner = Poly(ctx, [1, 1])  # x + 1
-        assert f(inner) == Poly(ctx, [1, 2, 1])
+        assert f.compose(inner) == Poly(ctx, [1, 2, 1])
+        with pytest.raises(TypeError):
+            f(inner)
 
 
 class TestFromRootsAndSymmetric:
