@@ -18,14 +18,19 @@ is a base square, and its root comes in closed form from base roots; a base
 non-square c has the root sqrt(c/ns)*u.
 
 The two field objects share one interface on raw payloads (add, sub, neg,
-mul, inv, pow, is_square, sqrt) and build elements with zero, one, from_int
-and elem.  Base payloads are coefficient tuples over F_p (low-to-high,
-length k); tower payloads are pairs of base payloads (c0, c1) standing for
-c0 + c1*u.  A FieldElement holds the field object of its payload.  Two
-operands meet in join(F, G), the one rule for mixing field objects: the
-tower when exactly one side is a tower, else F; each side's payload is then
-moved there by that field's lift().  Equality, hashing and encode() go by
-value.  All values are immutable.
+mul, inv, pow, is_square, sqrt, and polymul and polydivmod on lists of
+payloads) and build elements with zero, one, from_int and elem.  A base
+payload is a plain int in [0, p) when k = 1 and otherwise the k-tuple of
+its coefficients over F_p, low-to-high; a tower payload is a pair of base
+payloads (c0, c1) standing for c0 + c1*u.  Both forms order like their
+encode(), which keeps the choice of canonical square root unchanged.  For
+k = 1, polymul and polydivmod sum raw integer products and reduce mod p
+once per coefficient; every other field runs them on its payload ops.
+A FieldElement holds the field object of its payload.  Two operands meet
+in join(F, G), the one rule for mixing field objects: the tower when
+exactly one side is a tower, else F; each side's payload is then moved
+there by that field's lift().  Equality, hashing and encode() go by value;
+a value in F_p hashes like its int in [0, p).  All values are immutable.
 """
 
 from __future__ import annotations
@@ -98,7 +103,8 @@ def _square_multiply(mul, one, a, e):
 
 
 class _Field:
-    """Element construction shared by the base field and its tower."""
+    """Element construction and the payload-op polynomial loops, shared by
+    the base field and its tower."""
 
     __slots__ = ()
 
@@ -111,9 +117,44 @@ class _Field:
     def one(self):
         return FieldElement(self, self._one)
 
+    def from_int(self, n):
+        return FieldElement(self, self._int_payload(n))
+
     def elements(self):
         for i in range(self.q):
             yield FieldElement(self, self._from_index(i))
+
+    def _polymul_loop(self, a, b):
+        """Product of two payload lists, low-to-high."""
+        if not a or not b:
+            return []
+        add, mul, z = self.add, self.mul, self._zero
+        out = [z] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x != z:
+                for j, y in enumerate(b, i):
+                    out[j] = add(out[j], mul(x, y))
+        return out
+
+    def _polydivmod_loop(self, a, b):
+        """(quotient, remainder) of payload lists, b nonzero and len(a) >= len(b);
+        no inversion when b is monic."""
+        sub, mul, z = self.sub, self.mul, self._zero
+        db = len(b) - 1
+        inv = None if b[-1] == self._one else self.inv(b[-1])
+        r = list(a)
+        q = [z] * (len(a) - db)
+        low = b[:db]
+        for i in range(len(q) - 1, -1, -1):
+            c = r[i + db] if inv is None else mul(r[i + db], inv)
+            if c != z:
+                q[i] = c
+                for j, y in enumerate(low, i):
+                    r[j] = sub(r[j], mul(c, y))
+        del r[db:]
+        while r and r[-1] == z:
+            r.pop()
+        return q, r
 
 
 class FieldCtx(_Field):
@@ -140,6 +181,8 @@ class FieldCtx(_Field):
         "mul",
         "inv",
         "pow",
+        "polymul",
+        "polydivmod",
     )
 
     def __init__(self, p, modulus):
@@ -172,14 +215,14 @@ class FieldCtx(_Field):
         self.q = p**self.k
         self.q2 = self.q * self.q
         self.base = self
-        self._zero = (0,) * self.k
-        self._one = (1,) + (0,) * (self.k - 1)
+        self._zero = self._pack((0,) * self.k)
+        self._one = self._int_payload(1)
         self._bind_ops()
         if self.k > 1:
             self._check_irreducible()
         self.nonsquare = self._find_nonsquare()
         self._ns_inv = self.inv(self.nonsquare)
-        self._half = ((p + 1) // 2,) + self._zero[1:]
+        self._half = self._int_payload((p + 1) // 2)
         m, e = self.q - 1, 0
         while m % 2 == 0:
             m //= 2
@@ -190,17 +233,49 @@ class FieldCtx(_Field):
     def _bind_ops(self):
         """Install per-k specialized payload operations (hot path)."""
         p, k, zero = self.p, self.k, self._zero
+        self.polymul, self.polydivmod = self._polymul_loop, self._polydivmod_loop
         if k == 1:
-            self.add = lambda a, b: ((a[0] + b[0]) % p,)
-            self.sub = lambda a, b: ((a[0] - b[0]) % p,)
-            self.neg = lambda a: ((-a[0]) % p,)
-            self.mul = lambda a, b: ((a[0] * b[0]) % p,)
-            self.pow = lambda a, e: (pow(a[0], e, p),)
+            self.add = lambda a, b: (a + b) % p
+            self.sub = lambda a, b: (a - b) % p
+            self.neg = lambda a: -a % p
+            self.mul = lambda a, b: a * b % p
+            self.pow = lambda a, e: pow(a, e, p)
 
             def inv(a):
-                if not a[0]:
+                if not a:
                     raise DivisionByZero("inverse of zero")
-                return (pow(a[0], p - 2, p),)
+                return pow(a, -1, p)
+
+            def polymul(a, b):
+                if not a or not b:
+                    return []
+                out = [0] * (len(a) + len(b) - 1)
+                for i, x in enumerate(a):
+                    if x:
+                        for j, y in enumerate(b, i):
+                            out[j] += x * y
+                return [c % p for c in out]
+
+            def polydivmod(a, b):
+                db = len(b) - 1
+                inv_lc = pow(b[-1], -1, p) if b[-1] != 1 else 1
+                r = list(a)
+                q = [0] * (len(a) - db)
+                low = b[:db]
+                for i in range(len(q) - 1, -1, -1):
+                    c = r[i + db] % p
+                    if c:
+                        if inv_lc != 1:
+                            c = c * inv_lc % p
+                        q[i] = c
+                        for j, y in enumerate(low, i):
+                            r[j] -= c * y
+                r = [c % p for c in r[:db]]
+                while r and not r[-1]:
+                    r.pop()
+                return q, r
+
+            self.polymul, self.polydivmod = polymul, polydivmod
 
         elif k == 2:
             mt0, mt1 = self._mt
@@ -277,7 +352,23 @@ class FieldCtx(_Field):
             "no non-square found in an odd-order field"
         )  # pragma: no cover
 
-    # -- payload arithmetic (tuples of ints, length k) -------------------
+    # -- payload arithmetic (an int for k = 1, else a k-tuple of ints) ----
+
+    def _pack(self, coords):
+        """The payload whose k coordinates over F_p are the tuple coords."""
+        return coords[0] if self.k == 1 else coords
+
+    def _coords(self, a):
+        """The k coordinates over F_p of the payload a, as a tuple."""
+        return (a,) if self.k == 1 else a
+
+    def _int_payload(self, n):
+        return self._pack((n % self.p,) + (0,) * (self.k - 1))
+
+    def _prime_value(self, a):
+        """The int in [0, p) equal to the payload a, or None outside F_p."""
+        c = self._coords(a)
+        return None if any(c[1:]) else c[0]
 
     def _from_index(self, i):
         p, k = self.p, self.k
@@ -285,7 +376,7 @@ class FieldCtx(_Field):
         for _ in range(k):
             digits.append(i % p)
             i //= p
-        return tuple(digits)
+        return self._pack(tuple(digits))
 
     def _add_gen(self, a, b):
         p = self.p
@@ -355,7 +446,7 @@ class FieldCtx(_Field):
         return self, a
 
     def encode(self, a):
-        return list(a)
+        return list(self._coords(a))
 
     def lift(self, G, a):
         """The payload a of G, a field object for this same field, as one of self."""
@@ -363,15 +454,12 @@ class FieldCtx(_Field):
 
     # -- element construction --------------------------------------------
 
-    def from_int(self, n):
-        return FieldElement(self, (n % self.p,) + self._zero[1:])
-
     def from_coeffs(self, coeffs):
         """Build an element from F_p coefficients, low-to-high (length <= k)."""
         c = tuple(_int_value(v, "field element coefficient") % self.p for v in coeffs)
         if len(c) > self.k:
             raise ValueError(f"expected at most {self.k} coefficients")
-        return FieldElement(self, c + (0,) * (self.k - len(c)))
+        return FieldElement(self, self._pack(c + (0,) * (self.k - len(c))))
 
     def generator(self):
         """The power-basis generator t of F_{p^k} (t = 0 when k = 1)."""
@@ -414,7 +502,20 @@ class FieldCtx(_Field):
 class TowerField(_Field):
     """F_{q^2} = F_q[u]/(u^2 - ns) over a base context, on pairs of base payloads."""
 
-    __slots__ = ("base", "tower", "p", "q", "_zero", "_one", "add", "sub", "neg", "mul")
+    __slots__ = (
+        "base",
+        "tower",
+        "p",
+        "q",
+        "_zero",
+        "_one",
+        "add",
+        "sub",
+        "neg",
+        "mul",
+        "polymul",
+        "polydivmod",
+    )
 
     def __init__(self, base):
         self.base = base
@@ -424,20 +525,16 @@ class TowerField(_Field):
         z = base._zero
         self._zero = (z, z)
         self._one = (base._one, z)
+        self.polymul, self.polydivmod = self._polymul_loop, self._polydivmod_loop
         badd, bsub, bneg, bmul = base.add, base.sub, base.neg, base.mul
         if base.k == 1:
             p = base.p
-            ns = base.nonsquare[0]
+            ns = base.nonsquare
 
             def qmul1(a, b):
-                a0 = a[0][0]
-                a1 = a[1][0]
-                b0 = b[0][0]
-                b1 = b[1][0]
-                return (
-                    ((a0 * b0 + ns * a1 * b1) % p,),
-                    ((a0 * b1 + a1 * b0) % p,),
-                )
+                a0, a1 = a
+                b0, b1 = b
+                return ((a0 * b0 + ns * a1 * b1) % p, (a0 * b1 + a1 * b0) % p)
 
             self.mul = qmul1
         else:
@@ -506,7 +603,7 @@ class TowerField(_Field):
         return self, a
 
     def encode(self, a):
-        return [list(a[0]), list(a[1])]
+        return [self.base.encode(a[0]), self.base.encode(a[1])]
 
     def lift(self, G, a):
         """The payload a of G, a tower or a base of this same field, as one of self."""
@@ -516,9 +613,11 @@ class TowerField(_Field):
         q, b = self.base.q, self.base._from_index
         return (b(i % q), b(i // q))
 
-    def from_int(self, n):
-        base = self.base
-        return FieldElement(self, self.lift(base, base.from_int(n).payload))
+    def _int_payload(self, n):
+        return (self.base._int_payload(n), self.base._zero)
+
+    def _prime_value(self, a):
+        return self.base._prime_value(a[0]) if a[1] == self.base._zero else None
 
     def generator(self):
         """The element u with u^2 = nonsquare."""
@@ -560,7 +659,7 @@ class FieldElement:
         """(H, x, y): both operands as payloads of H = join(their fields)."""
         F = self.field
         if isinstance(other, int):
-            return F, self.payload, F.from_int(other).payload
+            return F, self.payload, F._int_payload(other)
         if not isinstance(other, FieldElement):
             return None, None, None
         G = other.field
@@ -631,6 +730,11 @@ class FieldElement:
         return self._lowest()[1] == other._lowest()[1]
 
     def __hash__(self):
+        """A value in F_p hashes like its int in [0, p), as it compares equal
+        to it; any other value by its field and lowest payload."""
+        n = self.field._prime_value(self.payload)
+        if n is not None:
+            return hash(n)
         F, x = self._lowest()
         return hash((F.p, F.base.modulus, x))
 
@@ -663,7 +767,7 @@ class FieldElement:
                     "element is not a square in F_{p^{2k}}; rebuild the context one level up"
                 )
             s, F = (F._zero, F.sqrt(F.mul(x, F._ns_inv))), F.tower
-        # payload tuples order like their encode()
+        # payloads order like their encode()
         return FieldElement(F, min(s, F.neg(s)))
 
     def frobenius(self):
@@ -676,14 +780,14 @@ class FieldElement:
         In the power basis this is exactly "a base value whose non-constant
         coordinates vanish", which is what gets checked.
         """
-        F, x = self._lowest()
-        return F is F.base and not any(x[1:])
+        return self.field._prime_value(self.payload) is not None
 
     def as_prime_int(self):
         """Integer representative in [0, p); requires in_prime_field()."""
-        if not self.in_prime_field():
+        n = self.field._prime_value(self.payload)
+        if n is None:
             raise ValueError("element does not lie in the prime field")
-        return self._lowest()[1][0]
+        return n
 
     # -- encoding ----------------------------------------------------------
 

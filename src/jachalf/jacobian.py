@@ -7,6 +7,8 @@ It doubles as the independent verification oracle for the halving formulas.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .errors import (
     CurveMismatch,
     CtxMismatch,
@@ -16,7 +18,18 @@ from .errors import (
     InvalidDivisor,
     NotOnCurve,
 )
-from .poly import Poly, from_roots, gcd, xgcd
+from .poly import (
+    Poly,
+    common_payloads,
+    from_payloads,
+    from_roots,
+    padd,
+    pdivmod,
+    pmonic,
+    pneg,
+    psub,
+    pxgcd,
+)
 
 # x-candidates enumerated by torsion_scan; q_tower above this refuses to run
 SCAN_LIMIT = 10**6
@@ -191,33 +204,40 @@ def to_class(point):
 
 
 def add(d1, d2):
-    """Cantor composition + reduction; returns the canonical representative."""
+    """Cantor composition + reduction; returns the canonical representative.
+
+    U1, U2, V1, V2 and f are lifted once to the join F of their field
+    objects; composition and reduction run on the payload kernels of
+    poly.py, and only the result is built as Polys over F.
+    """
     d1.curve.check_same(d2.curve)
     curve = d1.curve
-    U1, V1 = d1.U, d1.V
-    U2, V2 = d2.U, d2.V
-    f = curve.f
+    F, (U1, U2, V1, V2, f) = common_payloads(d1.U, d2.U, d1.V, d2.V, curve.f)
+    plus, times, divide = partial(padd, F), F.polymul, partial(pdivmod, F)
 
-    g1, e1, e2 = xgcd(U1, U2)
-    if g1.degree() == 0:
-        U3 = U1 * U2
-        V3 = (e1 * U1 * V2 + e2 * U2 * V1) % U3
+    g1, e1, e2 = pxgcd(F, U1, U2)
+    if len(g1) == 1:  # gcd(U1, U2) = 1
+        U3 = times(U1, U2)
+        V3 = divide(plus(times(times(e1, U1), V2), times(times(e2, U2), V1)), U3)[1]
     else:
-        d, c1, c2 = xgcd(g1, V1 + V2)
-        U3 = (U1 * U2) // (d * d)
-        num = (c1 * e1) * (U1 * V2) + (c1 * e2) * (U2 * V1) + c2 * (V1 * V2 + f)
-        V3 = (num // d) % U3
+        d, c1, c2 = pxgcd(F, g1, plus(V1, V2))
+        U3 = divide(times(U1, U2), times(d, d))[0]
+        num = plus(
+            plus(times(times(c1, e1), times(U1, V2)), times(times(c1, e2), times(U2, V1))),
+            times(c2, plus(times(V1, V2), f)),
+        )
+        V3 = divide(divide(num, d)[0], U3)[1]
 
     g = curve.g
-    while U3.degree() > g:
-        U3n = ((f - V3 * V3) // U3).monic()
-        V3 = (-V3) % U3n
+    while len(U3) > g + 1:
+        U3n = pmonic(F, divide(psub(F, f, times(V3, V3)), U3)[0])
+        V3 = divide(pneg(F, V3), U3n)[1]
         U3 = U3n
-    if U3.degree() == 0:
+    if len(U3) == 1:
         return zero_class(curve)
-    if not U3.is_monic():
-        U3 = U3.monic()
-    return MumfordDivisor(curve, U3, V3, validate=False)
+    return MumfordDivisor(
+        curve, from_payloads(F, pmonic(F, U3)), from_payloads(F, V3), validate=False
+    )
 
 
 def negate(d):

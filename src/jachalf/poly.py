@@ -1,12 +1,23 @@
 """Dense univariate polynomials over a field object (a context or its tower).
 
-A Poly holds its field object and a tuple of coefficient payloads,
-low-to-high, with no trailing zeros; the zero polynomial has an empty tuple
-and degree -1.  Arithmetic runs on the payloads through the field object's
-operations; ``coeffs`` gives the coefficients as FieldElements.  Operands
-over different field objects meet in field.join, and equality and hashing
-go by value.  Degrees stay tiny here (at most 2g+1), so everything is plain
-schoolbook arithmetic.
+The arithmetic lives in module-level kernels on lists of coefficient
+payloads, low-to-high, with no trailing zeros: padd, psub, pneg, pdivmod,
+pmonic and pxgcd, each taking the field object first, and the field's own
+F.polymul for products.  A payload is an int for k = 1, a k-tuple
+otherwise, and a pair of base payloads in the tower (see field.py).  For
+k = 1, F.polymul and the division under pdivmod sum raw int products and
+reduce mod p once per coefficient; division and monic skip the inversion
+when the leading coefficient is 1.
+
+A Poly holds its field object and a tuple of coefficient payloads; the zero
+polynomial has an empty tuple and degree -1.  Its operators, xgcd and gcd
+are thin wrappers around the kernels, from_payloads(F, kernel(...)), and
+code that chains many operations (Cantor composition in jacobian.add) runs
+the kernels directly and builds a Poly only for its result.  ``coeffs``
+gives the coefficients as FieldElements.  Operands over different field
+objects meet in field.join, and equality and hashing go by value.  Degrees
+stay tiny here (at most 2g+1), so everything is plain schoolbook
+arithmetic.
 """
 
 from __future__ import annotations
@@ -15,20 +26,89 @@ from .errors import DivisionByZero
 from .field import FieldElement, join
 
 
-def _trim(F, cs):
-    z = F._zero
+def _trim(cs, z):
+    """cs without its trailing zero payloads z (a slice, or cs itself)."""
     n = len(cs)
     while n and cs[n - 1] == z:
         n -= 1
-    return tuple(cs[:n])
+    return cs if n == len(cs) else cs[:n]
 
 
-def _make(F, cs):
+def from_payloads(F, cs):
     """Poly over F from a sequence of payloads, trailing zeros trimmed."""
     poly = object.__new__(Poly)
     poly.field = F
-    poly.pc = _trim(F, cs)
+    poly.pc = tuple(_trim(cs, F._zero))
     return poly
+
+
+def common_payloads(*polys):
+    """(F, payload sequences): the polys over F, the join of their fields."""
+    F = polys[0].field
+    for P in polys[1:]:
+        F = join(F, P.field)
+    return F, [P.pc if P.field is F else [F.lift(P.field, c) for c in P.pc] for P in polys]
+
+
+# -- kernels on payload lists ------------------------------------------------
+
+
+def padd(F, a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    add = F.add
+    out = [add(x, y) for x, y in zip(a, b)]
+    out += a[len(b):]
+    return _trim(out, F._zero)
+
+
+def psub(F, a, b):
+    sub, n = F.sub, len(b)
+    out = [sub(x, y) for x, y in zip(a, b)]
+    if len(a) > n:
+        out += a[n:]
+    else:
+        out += map(F.neg, b[len(a):])
+    return _trim(out, F._zero)
+
+
+def pneg(F, a):
+    return list(map(F.neg, a))
+
+
+def pdivmod(F, a, b):
+    if not b:
+        raise DivisionByZero("polynomial division by zero")
+    if len(a) < len(b):
+        return [], list(a)
+    return F.polydivmod(a, b)
+
+
+def _scale(F, a, c):
+    mul = F.mul
+    return [mul(x, c) for x in a]
+
+
+def pmonic(F, a):
+    if not a or a[-1] == F._one:
+        return a
+    return _scale(F, a, F.inv(a[-1]))
+
+
+def pxgcd(F, a, b):
+    """Extended gcd with monic result: (g, s, t) with s*a + t*b = g."""
+    r0, r1 = a, b
+    s0, s1 = [F._one], []
+    t0, t1 = [], [F._one]
+    while r1:
+        q, r = pdivmod(F, r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, psub(F, s0, F.polymul(q, s1))
+        t0, t1 = t1, psub(F, t0, F.polymul(q, t1))
+    if not r0 or r0[-1] == F._one:
+        return r0, s0, t0
+    inv = F.inv(r0[-1])
+    return _scale(F, r0, inv), _scale(F, s0, inv), _scale(F, t0, inv)
 
 
 def _payloads(field, values):
@@ -39,7 +119,7 @@ def _payloads(field, values):
         if isinstance(v, FieldElement):
             F = join(F, v.field)
     return F, [
-        F.lift(v.field, v.payload) if isinstance(v, FieldElement) else F.from_int(v).payload
+        F.lift(v.field, v.payload) if isinstance(v, FieldElement) else F._int_payload(v)
         for v in values
     ]
 
@@ -54,19 +134,19 @@ class Poly:
         lies over field.tower when any coefficient does."""
         F, cs = _payloads(field, list(coeffs))
         self.field = F
-        self.pc = _trim(F, cs)
+        self.pc = tuple(_trim(cs, F._zero))
 
     @classmethod
     def zero(cls, field):
-        return _make(field, ())
+        return from_payloads(field, ())
 
     @classmethod
     def constant(cls, c):
-        return _make(c.field, (c.payload,))
+        return from_payloads(c.field, (c.payload,))
 
     @classmethod
     def x(cls, field):
-        return _make(field, (field._zero, field._one))
+        return from_payloads(field, (field._zero, field._one))
 
     @property
     def coeffs(self):
@@ -95,7 +175,7 @@ class Poly:
         elif isinstance(other, FieldElement):
             G, b = other.field, (other.payload,)
         elif isinstance(other, int):
-            G, b = F, (F.from_int(other).payload,)
+            G, b = F, (F._int_payload(other),)
         else:
             return None, None, None
         if b and b[-1] == G._zero:
@@ -113,10 +193,7 @@ class Poly:
         F, a, b = self._pair(other)
         if F is None:
             return NotImplemented
-        if len(a) < len(b):
-            a, b = b, a
-        add = F.add
-        return _make(F, [add(x, y) for x, y in zip(a, b)] + list(a[len(b):]))
+        return from_payloads(F, padd(F, a, b))
 
     __radd__ = __add__
 
@@ -124,35 +201,20 @@ class Poly:
         F, a, b = self._pair(other)
         if F is None:
             return NotImplemented
-        sub, n = F.sub, len(b)
-        out = [sub(x, y) for x, y in zip(a, b)]
-        if len(a) > n:
-            out += a[n:]
-        else:
-            out += map(F.neg, b[len(a):])
-        return _make(F, out)
+        return from_payloads(F, psub(F, a, b))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
         F = self.field
-        return _make(F, tuple(map(F.neg, self.pc)))
+        return from_payloads(F, pneg(F, self.pc))
 
     def __mul__(self, other):
         F, a, b = self._pair(other)
         if F is None:
             return NotImplemented
-        if not a or not b:
-            return _make(F, ())
-        add, mul, z = F.add, F.mul, F._zero
-        out = [z] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x == z:
-                continue
-            for j, y in enumerate(b):
-                out[i + j] = add(out[i + j], mul(x, y))
-        return _make(F, out)
+        return from_payloads(F, F.polymul(a, b))
 
     __rmul__ = __mul__
 
@@ -160,22 +222,8 @@ class Poly:
         F, a, b = self._pair(other)
         if F is None:
             return NotImplemented
-        if not b:
-            raise DivisionByZero("polynomial division by zero")
-        if len(a) < len(b):
-            return _make(F, ()), _make(F, a)
-        sub, mul, z = F.sub, F.mul, F._zero
-        lcinv = F.inv(b[-1])
-        r = list(a)
-        q = [z] * (len(a) - len(b) + 1)
-        db = len(b) - 1
-        for i in range(len(q) - 1, -1, -1):
-            c = mul(r[i + db], lcinv)
-            if c != z:
-                q[i] = c
-                for j, bc in enumerate(b):
-                    r[i + j] = sub(r[i + j], mul(c, bc))
-        return _make(F, q), _make(F, r[:db])
+        q, r = pdivmod(F, a, b)
+        return from_payloads(F, q), from_payloads(F, r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -193,14 +241,20 @@ class Poly:
         return a == b
 
     def __hash__(self):
-        return hash(self.coeffs)
+        """A constant hashes like its coefficient (the zero polynomial like 0),
+        as it compares equal to it; a longer polynomial by its payloads in
+        the lowest field holding all of them."""
+        F, pc = self.field, self.pc
+        if len(pc) < 2:
+            return hash(FieldElement(F, pc[0])) if pc else hash(0)
+        z = F.base._zero
+        if F.tower is F and all(c[1] == z for c in pc):
+            pc = tuple(c[0] for c in pc)
+        return hash(pc)
 
     def monic(self):
-        if self.is_zero() or self.is_monic():
-            return self
         F = self.field
-        mul, inv = F.mul, F.inv(self.pc[-1])
-        return _make(F, [mul(c, inv) for c in self.pc])
+        return from_payloads(F, pmonic(F, self.pc))
 
     def __call__(self, x0):
         """Horner evaluation at a field element or int; compose() substitutes
@@ -230,25 +284,15 @@ class Poly:
 
 def xgcd(a, b):
     """Extended gcd with monic result: returns (g, s, t) with s*a + t*b = g."""
-    one, zero = Poly.constant(a.field.one()), Poly.zero(a.field)
-    r0, r1 = a, b
-    s0, s1 = one, zero
-    t0, t1 = zero, one
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    inv = r0.leading().inverse()
-    return r0.monic(), s0 * inv, t0 * inv
+    F, (x, y) = common_payloads(a, b)
+    return tuple(from_payloads(F, c) for c in pxgcd(F, x, y))
 
 
 def gcd(a, b):
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    F, (x, y) = common_payloads(a, b)
+    while y:
+        x, y = y, pdivmod(F, x, y)[1]
+    return from_payloads(F, pmonic(F, x))
 
 
 def _symmetric(F, vs):
@@ -265,7 +309,7 @@ def _symmetric(F, vs):
 def from_roots(field, roots):
     """Monic product of linear factors x - r_i, which is sum_j e_j(-r) x^(n-j)."""
     F, rs = _payloads(field, list(roots))
-    return _make(F, _symmetric(F, map(F.neg, rs))[::-1])
+    return from_payloads(F, _symmetric(F, map(F.neg, rs))[::-1])
 
 
 def elementary_symmetric(field, vals):

@@ -14,7 +14,7 @@ def make_ctx(p, g):
     if p >= 2 * g + 3:
         return ctx_new(p, [1])
     probe = ctx_new(p, [1])
-    c = probe.nonsquare[0]
+    c = probe.nonsquare
     return ctx_new(p, [(-c) % p, 0, 1])
 
 

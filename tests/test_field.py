@@ -54,7 +54,7 @@ class TestCtxNew:
             ctx_new(7, [1, 0, 3])
 
     def test_smallest_nonsquare_found(self, f7, f49):
-        assert f7.nonsquare == (3,)  # squares mod 7 are {0,1,2,4}
+        assert f7.nonsquare == 3  # squares mod 7 are {0,1,2,4}
         assert not f49.elem(f49.nonsquare).is_square()
 
     def test_ctx_mismatch_between_fields(self, f7, f49):
@@ -141,6 +141,39 @@ class TestArithmetic:
         assert x == c2.from_int(3) and u == v
         assert c1.tower.from_int(3) == c2.from_int(3) and x == c2.tower.from_int(3)
         assert u != c2.from_int(3) and x != v
+
+
+class TestHashing:
+    """Values that compare equal hash equal, whatever their field object."""
+
+    def test_prime_field_values_hash_as_ints(self, f7, f49):
+        for c in (f7, f49):  # k = 1 and k = 2
+            for n in range(7):
+                x, y = c.from_int(n), c.tower.from_int(n)
+                assert x == n and y == n and x == y
+                assert hash(x) == hash(y) == hash(n)
+                assert len({x, y, n}) == 1
+
+    def test_two_context_objects(self):
+        c1, c2 = ctx_new(7, [1]), ctx_new(7, [1])
+        u, v = c1.tower.generator(), c2.tower.generator()
+        assert u == v and hash(u) == hash(v)
+        assert len({u, v, c1.tower.from_int(3), c2.from_int(3), 3}) == 2
+
+    def test_values_outside_the_prime_field(self, f49):
+        t = f49.generator()
+        lifted = t + f49.tower.zero()  # t as a tower payload
+        assert lifted.field is f49.tower and lifted == t
+        assert hash(lifted) == hash(t) and len({t, lifted}) == 1
+        assert len({f49.tower.generator(), t, -t, 1}) == 4
+
+    def test_equal_implies_equal_hash_f625(self, f25):
+        by_value = {}  # the base elements and every tower element, by encoding
+        for x in list(f25.elements()) + list(f25.tower.elements()):
+            by_value.setdefault(repr(x.encode()), []).append(x)
+        assert len(by_value) == 625
+        for group in by_value.values():
+            assert len({hash(x) for x in group}) == 1
 
 
 def _elements(ctx):

@@ -19,6 +19,8 @@ CURVES = {
     # F_25 = F_5[t]/(t^2 + 3); the point has a outside F_5
     "f25": {"p": 5, "modulus": [3, 0, 1], "roots": [[4, 1], [0, 3], [1, 4], [1, 3], [0, 4]]},
     "p61": {"p": 2**61 - 1, "modulus": [1], "roots": [[0], [1], [2]]},
+    "p61g2": {"p": 2**61 - 1, "modulus": [1], "roots": [[i] for i in range(5)]},
+    "p61g3": {"p": 2**61 - 1, "modulus": [1], "roots": [[i] for i in range(7)]},
 }
 
 # (curve, argv after --curve, line count, first line, sha256 of stdout)
@@ -56,6 +58,29 @@ CASES = [
         1,
         '{"U":[[681149616708006179],[1]],"V":[[1751885244835811179]]}',
         "5060721dc57e839b4df42b25ee8e34c30dcf88c83756a976a0207e4076deca78",
+    ),
+    (
+        "p61g2",
+        ["group", "mul", "--point", "123456789012345,668066065956409900",
+         "--scalar", "1234567890123456789"],
+        1,
+        '{"U":[[1415121059303189692],[634624688100870064],[1]],'
+        '"V":[[548465228802425318],[156744967025491620]]}',
+        "6718d2d561e8bd23dcb77d360bb691e2c713caedf7e6a34cef9bc3c450c45fd7",
+    ),
+    (
+        "p61g3",
+        ["group", "mul", "--point", "123456789012346,446052953922367585",
+         "--scalar", "1234567890123456789"],
+        1,
+        '{"U":[[1832039619753321901],[1658268447341175693],[695178491786758376],[1]],'
+        '"V":[[737214531971929565],[488423407165637983],[195430758343620981]]}',
+        "d3e92ea4b4f9f53ef015e8f6173b2ba529daf11fc2e80aefcfa6b86caf1f64a9",
+    ),
+    (
+        "g2", ["torsion-scan", "--max-order", "4"], 1,
+        '{"points_scanned":133,"violations":[]}',
+        "ff338e1de46d0382031c7d1eadd0984692d965ec7438d13b5a444d7b92c4dfa3",
     ),
 ]
 

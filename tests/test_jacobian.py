@@ -124,6 +124,38 @@ class TestGroupLaw:
         d = to_class(p42)
         assert scalar_mul(-3, d) == negate(scalar_mul(3, d))
 
+    def test_mixed_field_objects(self):
+        """A base and a tower operand, or operands over two context objects
+        for one field, add like the same divisors lifted by hand to the
+        join of their fields, and the sum lies over that join."""
+        c1, c2 = ctx_new(7, [1]), ctx_new(7, [1])
+        k1, k2 = curve_new(c1, [0, 1, 2, 3, 4]), curve_new(c2, [0, 1, 2, 3, 4])
+
+        def classes(curve, field):
+            xs = [x for x in field.elements() if field is curve.ctx or not x.in_prime_field()]
+            pts = [Point(curve, x, curve.f(x).sqrt()) for x in xs if curve.f(x).is_square()]
+            pts = [pt for pt in pts if not pt.is_weierstrass()][:3]
+            return [to_class(pt) for pt in pts] + [double(to_class(pts[0]))]
+
+        base1, base2 = classes(k1, c1), classes(k2, c2)
+        tower1, tower2 = classes(k1, c1.tower), classes(k2, c2.tower)
+        cases = [  # operands, the field of their sum
+            (base1, tower2, c2.tower),
+            (tower1, base2, c1.tower),
+            (base1, base2, c1),
+            (tower1, tower2, c1.tower),
+        ]
+        for left, right, field in cases:
+            for d1 in left:
+                for d2 in right:
+                    by_hand = add(*(
+                        MumfordDivisor(d.curve, Poly(field, d.U.coeffs), Poly(field, d.V.coeffs))
+                        for d in (d1, d2)
+                    ))
+                    s = add(d1, d2)
+                    assert s == by_hand and s.encode() == by_hand.encode()
+                    assert s.is_zero() or (s.U.field is field and s.V.field is field)
+
     def test_curve_mismatch(self, curve_g1_f7, f7):
         other = curve_new(f7, [0, 2, 5])
         with pytest.raises(CurveMismatch):

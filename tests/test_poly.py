@@ -1,11 +1,22 @@
 """Polynomial arithmetic over field contexts."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from jachalf.errors import DivisionByZero
 from jachalf.field import ctx_new
-from jachalf.poly import Poly, elementary_symmetric, from_roots, gcd, xgcd
+from jachalf.poly import (
+    Poly,
+    elementary_symmetric,
+    from_payloads,
+    from_roots,
+    gcd,
+    pdivmod,
+    pxgcd,
+    xgcd,
+)
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +82,37 @@ class TestBasics:
         for poly, elem, equal in cases:
             assert (poly == elem) is equal and (elem == poly) is equal
             assert (poly != elem) is not equal and (elem != poly) is not equal
+
+
+class TestHashing:
+    """Polynomials hash like the values they compare equal to."""
+
+    def test_constants_hash_as_their_coefficient(self):
+        c, f49 = ctx_new(7, [1]), ctx_new(7, [1, 0, 1])
+        u, t = c.tower.generator(), f49.generator()
+        groups = [  # values that are all equal to one another
+            [Poly(c, [3]), Poly(c.tower, [3]), c.from_int(3), c.tower.from_int(3), 3],
+            [Poly(c.tower, [u]), Poly(c, [u, 0]), u, ctx_new(7, [1]).tower.generator()],
+            [Poly(f49, [t]), Poly(f49.tower, [t]), t],
+            [Poly.zero(c), Poly.zero(c.tower), Poly(c, [0, 0]), c.zero(), c.tower.zero(), 0],
+            [Poly.zero(f49), Poly.zero(f49.tower), f49.zero(), 0],
+        ]
+        for group in groups:
+            assert all(a == b for a in group for b in group)
+            assert len({hash(v) for v in group}) == 1
+
+    def test_longer_polynomials_hash_by_lowest_field(self):
+        c1, c2, f49 = ctx_new(7, [1]), ctx_new(7, [1]), ctx_new(7, [1, 0, 1])
+        t = f49.generator()
+        groups = [
+            [Poly(c1, [3, 1]), Poly(c2, [3, 1]), Poly(c1.tower, [3, 1]), Poly(c2.tower, [3, 1])],
+            [Poly(c1.tower, [c1.tower.generator(), 1]), Poly(c2, [c2.tower.generator(), 1])],
+            [Poly(f49, [t, 0, 1]), Poly(f49.tower, [t, 0, 1])],
+        ]
+        for group in groups:
+            assert all(a == b for a in group for b in group)
+            assert len({hash(v) for v in group}) == 1
+        assert len({Poly(c1, [3, 1]), Poly(c1, [3, 1]), Poly(c1, [1, 3])}) == 2
 
 
 class TestDivmod:
@@ -167,3 +209,108 @@ class TestFromRootsAndSymmetric:
             assert f.coeffs[n - i] == ctx.from_int((-1) ** i) * s[i - 1]
         for v in els:
             assert f(v).is_zero()
+
+
+P61 = 2**61 - 1
+KERNEL_FIELDS = {  # name -> builds the field object
+    "F13": lambda: ctx_new(13, [1]),
+    "F_2^61-1": lambda: ctx_new(P61, [1]),
+    "F5^3": lambda: ctx_new(5, [1, 1, 0, 1]),  # t^3 + t + 1
+    "F13^2": lambda: ctx_new(13, [1]).tower,
+    "F5^6": lambda: ctx_new(5, [1, 1, 0, 1]).tower,
+}
+
+
+def _random_payloads(F, rng, n, lead=None):
+    """n random payloads of F, the last one nonzero (or lead when given)."""
+    def draw():
+        return F._from_index(rng.randrange(F.q))
+
+    out = [draw() for _ in range(n)]
+    if n:
+        out[-1] = lead if lead is not None else draw()
+        while out[-1] == F._zero:
+            out[-1] = draw()
+    return out
+
+
+def _schoolbook(a, b, p):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def _check_identity(F, lhs, rhs, rng):
+    """lhs = rhs for two lists of factor lists: sum of products, compared
+    as ints mod p for k = 1 and else at deg + 1 distinct points."""
+    p = F.p
+    if F.base is F and F.k == 1:
+        def total(terms):
+            acc = {}
+            for factors in terms:
+                prod = [1]
+                for f in factors:
+                    prod = _schoolbook(prod, f, p)
+                for i, c in enumerate(prod):
+                    acc[i] = (acc.get(i, 0) + c) % p
+            return {i: c for i, c in acc.items() if c}
+
+        assert total(lhs) == total(rhs)
+        return
+    deg = max(sum(len(f) for f in factors) for factors in lhs + rhs)
+    points = [F.elem(F._from_index(i)) for i in rng.sample(range(F.q), deg + 1)]
+
+    def value(terms, x):
+        acc = F.zero()
+        for factors in terms:
+            prod = F.one()
+            for f in factors:
+                prod = prod * from_payloads(F, f)(x)
+            acc = acc + prod
+        return acc
+
+    for x in points:
+        assert value(lhs, x) == value(rhs, x)
+
+
+@pytest.mark.parametrize("name", list(KERNEL_FIELDS))
+class TestKernels:
+    """The payload kernels, checked against arithmetic computed independently."""
+
+    def test_mul(self, name):
+        F, rng = KERNEL_FIELDS[name](), random.Random(name)
+        for _ in range(40):
+            a = _random_payloads(F, rng, rng.randrange(0, 7))
+            b = _random_payloads(F, rng, rng.randrange(0, 7))
+            prod = F.polymul(a, b)
+            assert len(prod) == (len(a) + len(b) - 1 if a and b else 0)
+            if F.base is F and F.k == 1:
+                assert prod == _schoolbook(a, b, F.p)
+            _check_identity(F, [[prod]], [[a, b]], rng)
+
+    @pytest.mark.parametrize("monic", [True, False])
+    def test_divmod(self, name, monic):
+        F, rng = KERNEL_FIELDS[name](), random.Random(f"{name}/{monic}")
+        for _ in range(40):
+            a = _random_payloads(F, rng, rng.randrange(0, 9))
+            lead = F._one if monic else None
+            b = _random_payloads(F, rng, rng.randrange(1, 5), lead)
+            while not monic and b[-1] == F._one:
+                b = _random_payloads(F, rng, len(b))
+            q, r = pdivmod(F, a, b)
+            assert len(r) < len(b) and (not r or r[-1] != F._zero)
+            _check_identity(F, [[a]], [[q, b], [r]], rng)
+
+    def test_xgcd(self, name):
+        F, rng = KERNEL_FIELDS[name](), random.Random(name)
+        for _ in range(30):
+            shared = _random_payloads(F, rng, rng.randrange(1, 3))
+            a = F.polymul(shared, _random_payloads(F, rng, rng.randrange(0, 5)))
+            b = F.polymul(shared, _random_payloads(F, rng, rng.randrange(0, 5)))
+            g, s, t = pxgcd(F, a, b)
+            if a or b:
+                assert g[-1] == F._one and len(g) >= len(shared)
+                assert not pdivmod(F, a, g)[1] and not pdivmod(F, b, g)[1]
+            _check_identity(F, [[s, a], [t, b]], [[g]], rng)
