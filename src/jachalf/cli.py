@@ -168,14 +168,7 @@ def cmd_check(args):
     if point.infinite:
         raise InfinityInput("check needs an affine point")
     if args.which == "divisible-by-2":
-        report = divisible_by_two_report(point)
-        _emit(
-            {
-                "result": report["result"],
-                "weierstrass": report["weierstrass"],
-                "witness": report["witness"],
-            }
-        )
+        _emit(divisible_by_two_report(point))
     else:
         report = all_halves_rational_report(point)
         _emit({"result": report["result"], "witness": report["witness"]})

@@ -23,9 +23,21 @@ payloads) and build elements with zero, one, from_int and elem.  A base
 payload is a plain int in [0, p) when k = 1 and otherwise the k-tuple of
 its coefficients over F_p, low-to-high; a tower payload is a pair of base
 payloads (c0, c1) standing for c0 + c1*u.  Both forms order like their
-encode(), which keeps the choice of canonical square root unchanged.  For
-k = 1, polymul and polydivmod sum raw integer products and reduce mod p
-once per coefficient; every other field runs them on its payload ops.
+encode(), which keeps the choice of canonical square root unchanged.
+
+The payload ops of each field come from one of four constructions:
+  - F_p: int lambdas, plus the kernels _int_polymul and _int_polydivmod,
+    which sum raw integer products and reduce mod p once per coefficient;
+    they are F_p's polymul and polydivmod.
+  - _quadratic(p, c0, c1), F_p[w] with w^2 = c0 + c1*w on pairs of ints:
+    F_{p^2} from the modulus t^2 + m1*t + m0 as (-m0, -m1), and the tower
+    of F_p as (ns, 0).
+  - F_{p^k}, k >= 3: k-tuples, the product being the kernel product reduced
+    by the modulus with the kernel division; the inverse is Fermat's.
+  - The tower of F_{p^k}, k >= 2: Karatsuba on the base field's payload ops.
+Every field but F_p runs polymul and polydivmod on its payload ops, and
+Rabin's irreducibility test runs Euclid over F_p on _int_polydivmod.
+
 A FieldElement holds the field object of its payload.  Two operands meet
 in join(F, G), the one rule for mixing field objects: the tower when
 exactly one side is a tower, else F; each side's payload is then moved
@@ -102,6 +114,77 @@ def _square_multiply(mul, one, a, e):
     return result
 
 
+def _int_polymul(p):
+    """Product of two lists of ints mod p, low-to-high: raw int products are
+    summed and reduced once per coefficient."""
+
+    def polymul(a, b):
+        if not a or not b:
+            return []
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return [c % p for c in out]
+
+    return polymul
+
+
+def _int_polydivmod(p):
+    """(quotient, remainder) of lists of ints mod p, b with a nonzero leading
+    coefficient and len(a) >= len(b); no inversion when b is monic."""
+
+    def polydivmod(a, b):
+        db = len(b) - 1
+        inv_lc = pow(b[-1], -1, p) if b[-1] != 1 else 1
+        r = list(a)
+        q = [0] * (len(a) - db)
+        low = b[:db]
+        for i in range(len(q) - 1, -1, -1):
+            c = r[i + db] % p
+            if c:
+                if inv_lc != 1:
+                    c = c * inv_lc % p
+                q[i] = c
+                for j, y in enumerate(low, i):
+                    r[j] -= c * y
+        r = [c % p for c in r[:db]]
+        while r and not r[-1]:
+            r.pop()
+        return q, r
+
+    return polydivmod
+
+
+def _quadratic(p, c0, c1):
+    """add, sub, neg, mul and inv of F_p[w]/(w^2 - c1*w - c0), w^2 = c0 + c1*w
+    irreducible, on pairs of ints (a0, a1) standing for a0 + a1*w."""
+
+    def mul(a, b):
+        a0, a1 = a
+        b0, b1 = b
+        c = a1 * b1
+        return ((a0 * b0 + c0 * c) % p, (a0 * b1 + a1 * b0 + c1 * c) % p)
+
+    def inv(a):
+        # a * conj(a) = N(a) in F_p, with conj(w) = c1 - w
+        a0, a1 = a
+        n = (a0 * a0 + c1 * a0 * a1 - c0 * a1 * a1) % p
+        if not n:
+            raise DivisionByZero("inverse of zero")
+        n = pow(n, -1, p)
+        return ((a0 + c1 * a1) * n % p, -a1 * n % p)
+
+    return (
+        lambda a, b: ((a[0] + b[0]) % p, (a[1] + b[1]) % p),
+        lambda a, b: ((a[0] - b[0]) % p, (a[1] - b[1]) % p),
+        lambda a: (-a[0] % p, -a[1] % p),
+        mul,
+        inv,
+    )
+
+
 class _Field:
     """Element construction and the payload-op polynomial loops, shared by
     the base field and its tower."""
@@ -164,7 +247,6 @@ class FieldCtx(_Field):
         "p",
         "k",
         "modulus",
-        "_mt",
         "q",
         "q2",
         "nonsquare",
@@ -211,7 +293,6 @@ class FieldCtx(_Field):
             raise ReducibleModulus(f"modulus {given} over F_{p} must be monic")
         self.k = len(mod) - 1
         self.modulus = mod
-        self._mt = mod[:-1]  # low k coefficients, used during reduction
         self.q = p**self.k
         self.q2 = self.q * self.q
         self.base = self
@@ -231,7 +312,7 @@ class FieldCtx(_Field):
         self.tower = TowerField(self)
 
     def _bind_ops(self):
-        """Install per-k specialized payload operations (hot path)."""
+        """Install the payload operations for this k (hot path)."""
         p, k, zero = self.p, self.k, self._zero
         self.polymul, self.polydivmod = self._polymul_loop, self._polydivmod_loop
         if k == 1:
@@ -246,95 +327,50 @@ class FieldCtx(_Field):
                     raise DivisionByZero("inverse of zero")
                 return pow(a, -1, p)
 
-            def polymul(a, b):
-                if not a or not b:
-                    return []
-                out = [0] * (len(a) + len(b) - 1)
-                for i, x in enumerate(a):
-                    if x:
-                        for j, y in enumerate(b, i):
-                            out[j] += x * y
-                return [c % p for c in out]
-
-            def polydivmod(a, b):
-                db = len(b) - 1
-                inv_lc = pow(b[-1], -1, p) if b[-1] != 1 else 1
-                r = list(a)
-                q = [0] * (len(a) - db)
-                low = b[:db]
-                for i in range(len(q) - 1, -1, -1):
-                    c = r[i + db] % p
-                    if c:
-                        if inv_lc != 1:
-                            c = c * inv_lc % p
-                        q[i] = c
-                        for j, y in enumerate(low, i):
-                            r[j] -= c * y
-                r = [c % p for c in r[:db]]
-                while r and not r[-1]:
-                    r.pop()
-                return q, r
-
-            self.polymul, self.polydivmod = polymul, polydivmod
-
+            self.inv = inv
+            self.polymul, self.polydivmod = _int_polymul(p), _int_polydivmod(p)
         elif k == 2:
-            mt0, mt1 = self._mt
-
-            def bmul2(a, b):
-                a0, a1 = a
-                b0, b1 = b
-                c2 = a1 * b1
-                return (
-                    (a0 * b0 - c2 * mt0) % p,
-                    (a0 * b1 + a1 * b0 - c2 * mt1) % p,
-                )
-
-            def inv(a):
-                # a * conj(a) = N(a) in F_p, with conj(t) = -mt1 - t
-                a0, a1 = a
-                n = (a0 * a0 - mt1 * a0 * a1 + mt0 * a1 * a1) % p
-                if not n:
-                    raise DivisionByZero("inverse of zero")
-                n = pow(n, p - 2, p)
-                return ((a0 - mt1 * a1) * n % p, (-a1 * n) % p)
-
-            self.add = lambda a, b: ((a[0] + b[0]) % p, (a[1] + b[1]) % p)
-            self.sub = lambda a, b: ((a[0] - b[0]) % p, (a[1] - b[1]) % p)
-            self.neg = lambda a: ((-a[0]) % p, (-a[1]) % p)
-            self.mul = bmul2
+            m0, m1 = self.modulus[:2]
+            self.add, self.sub, self.neg, self.mul, self.inv = _quadratic(p, -m0 % p, -m1 % p)
         else:
-            self.add = self._add_gen
-            self.sub = self._sub_gen
-            self.neg = self._neg_gen
-            self.mul = self._mul_gen
+            polymul, polydivmod, mod = _int_polymul(p), _int_polydivmod(p), self.modulus
+            self.add = lambda a, b: tuple([(x + y) % p for x, y in zip(a, b)])
+            self.sub = lambda a, b: tuple([(x - y) % p for x, y in zip(a, b)])
+            self.neg = lambda a: tuple([-x % p for x in a])
+
+            def mul(a, b):
+                r = polydivmod(polymul(a, b), mod)[1]
+                return tuple(r) + (0,) * (k - len(r))
 
             def inv(a):
                 if a == zero:
                     raise DivisionByZero("inverse of zero")
                 return self.pow(a, self.q - 2)
 
+            self.mul, self.inv = mul, inv
         if k > 1:
             mul, one = self.mul, self._one
             self.pow = lambda a, e: _square_multiply(mul, one, a, e)
-        self.inv = inv
 
     # -- construction-time validation ------------------------------------
 
     def _check_irreducible(self):
         """Rabin's test: t^(p^k) = t, and t^(p^d) - t is coprime to the
-        modulus for every proper divisor d of k."""
-        from .poly import Poly, gcd  # poly.py imports this module
-
+        modulus for every proper divisor d of k (Euclid over F_p)."""
         p, k = self.p, self.k
         t = (0, 1) + (0,) * (k - 2)
         if self.pow(t, p**k) != t:
             raise ReducibleModulus(
                 f"modulus {list(self.modulus)} is not irreducible over F_{p}"
             )
-        fp = FieldCtx(p, [1])
-        m = Poly(fp, self.modulus)
+        polydivmod = _int_polydivmod(p)
         for d in _divisors(k):
-            if gcd(Poly(fp, self.sub(self.pow(t, p**d), t)), m).degree() != 0:
+            a, b = self.modulus, list(self.sub(self.pow(t, p**d), t))
+            while b and not b[-1]:
+                b.pop()
+            while b:
+                a, b = b, polydivmod(a, b)[1]
+            if len(a) != 1:
                 raise ReducibleModulus(
                     f"modulus {list(self.modulus)} has a factor over F_{p} "
                     f"of degree dividing {k}"
@@ -377,36 +413,6 @@ class FieldCtx(_Field):
             digits.append(i % p)
             i //= p
         return self._pack(tuple(digits))
-
-    def _add_gen(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def _sub_gen(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
-    def _neg_gen(self, a):
-        p = self.p
-        return tuple((-x) % p for x in a)
-
-    def _mul_gen(self, a, b):
-        p = self.p
-        k = self.k
-        out = [0] * (2 * k - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        mt = self._mt
-        for idx in range(2 * k - 2, k - 1, -1):
-            c = out[idx] % p
-            if c:
-                base = idx - k
-                for j in range(k):
-                    out[base + j] -= c * mt[j]
-            out[idx] = 0
-        return tuple(v % p for v in out[:k])
 
     def is_square(self, a):
         """Euler's criterion."""
@@ -513,6 +519,7 @@ class TowerField(_Field):
         "sub",
         "neg",
         "mul",
+        "inv",
         "polymul",
         "polydivmod",
     )
@@ -526,29 +533,26 @@ class TowerField(_Field):
         self._zero = (z, z)
         self._one = (base._one, z)
         self.polymul, self.polydivmod = self._polymul_loop, self._polydivmod_loop
-        badd, bsub, bneg, bmul = base.add, base.sub, base.neg, base.mul
+        ns = base.nonsquare
         if base.k == 1:
-            p = base.p
-            ns = base.nonsquare
+            self.add, self.sub, self.neg, self.mul, self.inv = _quadratic(base.p, ns, 0)
+            return
+        badd, bsub, bneg, bmul, binv = base.add, base.sub, base.neg, base.mul, base.inv
 
-            def qmul1(a, b):
-                a0, a1 = a
-                b0, b1 = b
-                return ((a0 * b0 + ns * a1 * b1) % p, (a0 * b1 + a1 * b0) % p)
+        def mul(a, b):
+            # Karatsuba: three base products
+            a0, a1 = a
+            b0, b1 = b
+            t0 = bmul(a0, b0)
+            t1 = bmul(a1, b1)
+            m = bmul(badd(a0, a1), badd(b0, b1))
+            return (badd(t0, bmul(ns, t1)), bsub(bsub(m, t0), t1))
 
-            self.mul = qmul1
-        else:
-            ns = base.nonsquare
+        def inv(a):
+            ninv = binv(self._norm(a))
+            return (bmul(a[0], ninv), bneg(bmul(a[1], ninv)))
 
-            def qmul(a, b):
-                a0, a1 = a
-                b0, b1 = b
-                t0 = bmul(a0, b0)
-                t1 = bmul(a1, b1)
-                m = bmul(badd(a0, a1), badd(b0, b1))
-                return (badd(t0, bmul(ns, t1)), bsub(bsub(m, t0), t1))
-
-            self.mul = qmul
+        self.mul, self.inv = mul, inv
         self.add = lambda a, b: (badd(a[0], b[0]), badd(a[1], b[1]))
         self.sub = lambda a, b: (bsub(a[0], b[0]), bsub(a[1], b[1]))
         self.neg = lambda a: (bneg(a[0]), bneg(a[1]))
@@ -559,11 +563,6 @@ class TowerField(_Field):
         bmul = base.mul
         a0, a1 = a
         return base.sub(bmul(a0, a0), bmul(base.nonsquare, bmul(a1, a1)))
-
-    def inv(self, a):
-        base = self.base
-        ninv = base.inv(self._norm(a))
-        return (base.mul(a[0], ninv), base.neg(base.mul(a[1], ninv)))
 
     def pow(self, a, e):
         return _square_multiply(self.mul, self._one, a, e)
@@ -719,6 +718,8 @@ class FieldElement:
         return FieldElement(F, F.pow(self.payload, e))
 
     def __eq__(self, other):
+        """Equality by value, across field objects of one field.  An int n
+        equals x when n = x (mod p); only n in [0, p) also hashes like x."""
         if isinstance(other, int):
             other = self.field.from_int(other)
         elif not isinstance(other, FieldElement):
@@ -731,7 +732,8 @@ class FieldElement:
 
     def __hash__(self):
         """A value in F_p hashes like its int in [0, p), as it compares equal
-        to it; any other value by its field and lowest payload."""
+        to it; any other value by its field and lowest payload.  An int
+        outside [0, p) may equal x yet hash apart: hash() cannot reduce mod p."""
         n = self.field._prime_value(self.payload)
         if n is not None:
             return hash(n)

@@ -90,10 +90,11 @@ class HalfClass:
 def sqrt_tuples(point):
     """All 2^{2g} sign choices, in deterministic counter order.
 
-    Counter bit i-1 flips the canonical root of a - alpha_i; the sign of the
-    last coordinate is forced by prod r_i = -b, so it flips with the parity
-    of the counter.  For a Weierstrass input the zero coordinate is pinned
-    and the 2g nonzero signs are free instead.
+    One coordinate is pinned: the last one, whose root is forced by
+    prod r_i = -b, or for a Weierstrass input the zero one.  Counter bits
+    flip the canonical roots of the other 2g coordinates in index order, and
+    the pinned one takes its sign from the parity of the counter, which for
+    the zero root changes nothing.
     """
     if point.infinite:
         raise InfinityInput("cannot halve the point at infinity")
@@ -111,16 +112,14 @@ def sqrt_tuples(point):
             ) from None
 
     if b.is_zero():
-        zero_at = next(i for i, rho in enumerate(rhos) if rho.is_zero())
-        free = [i for i in range(2 * g + 1) if i != zero_at]
-        forced = None
+        pinned = next(i for i, rho in enumerate(rhos) if rho.is_zero())
     else:
-        free = list(range(2 * g))
-        forced = 2 * g
+        pinned = 2 * g
         prod = curve.ctx.one()
-        for i in free:
-            prod = prod * rhos[i]
-        rhos[forced] = (-b) / prod
+        for rho in rhos[:pinned]:
+            prod = prod * rho
+        rhos[pinned] = (-b) / prod
+    free = [i for i in range(2 * g + 1) if i != pinned]
     signed = [(rho, -rho) for rho in rhos]  # indexed by a sign bit
 
     out = []
@@ -128,8 +127,7 @@ def sqrt_tuples(point):
         r = list(rhos)
         for bit, i in enumerate(free):
             r[i] = signed[i][counter >> bit & 1]
-        if forced is not None:
-            r[forced] = signed[forced][counter.bit_count() & 1]
+        r[pinned] = signed[pinned][counter.bit_count() & 1]
         out.append(SqrtTuple(curve, point, r, counter))
     return out
 

@@ -43,11 +43,11 @@ def from_payloads(F, cs):
 
 
 def common_payloads(*polys):
-    """(F, payload sequences): the polys over F, the join of their fields."""
+    """(F, payload tuples): the polys over F, the join of their fields."""
     F = polys[0].field
     for P in polys[1:]:
         F = join(F, P.field)
-    return F, [P.pc if P.field is F else [F.lift(P.field, c) for c in P.pc] for P in polys]
+    return F, [P.pc if P.field is F else tuple([F.lift(P.field, c) for c in P.pc]) for P in polys]
 
 
 # -- kernels on payload lists ------------------------------------------------
@@ -169,24 +169,13 @@ class Poly:
 
     def _pair(self, other):
         """(H, a, b): both operands as payload tuples over H = join(their fields)."""
-        F, a = self.field, self.pc
-        if isinstance(other, Poly):
-            G, b = other.field, other.pc
-        elif isinstance(other, FieldElement):
-            G, b = other.field, (other.payload,)
+        if isinstance(other, FieldElement):
+            other = from_payloads(other.field, (other.payload,))
         elif isinstance(other, int):
-            G, b = F, (F._int_payload(other),)
-        else:
+            other = from_payloads(self.field, (self.field._int_payload(other),))
+        elif not isinstance(other, Poly):
             return None, None, None
-        if b and b[-1] == G._zero:
-            b = ()
-        if G is not F:
-            H = join(F, G)
-            if H is not F:
-                a = tuple([H.lift(F, c) for c in a])
-            if H is not G:
-                b = tuple([H.lift(G, c) for c in b])
-            F = H
+        F, (a, b) = common_payloads(self, other)
         return F, a, b
 
     def __add__(self, other):
@@ -243,7 +232,8 @@ class Poly:
     def __hash__(self):
         """A constant hashes like its coefficient (the zero polynomial like 0),
         as it compares equal to it; a longer polynomial by its payloads in
-        the lowest field holding all of them."""
+        the lowest field holding all of them.  As for a FieldElement, an int
+        outside [0, p) may equal a constant yet hash apart."""
         F, pc = self.field, self.pc
         if len(pc) < 2:
             return hash(FieldElement(F, pc[0])) if pc else hash(0)

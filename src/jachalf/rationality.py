@@ -156,8 +156,7 @@ def divisible_by_two_report(point):
 
     result = True
     failing = None
-    factors = rational_factors(curve)
-    for m in factors:
+    for m in rational_factors(curve):
         # a - x is a square in F_p[x]/(m) exactly when its norm m(a) is 0
         # (a zero component: 0 = 0^2) or a square in F_p
         norm = 0
@@ -171,5 +170,4 @@ def divisible_by_two_report(point):
         "result": result,
         "weierstrass": point.is_weierstrass(),
         "witness": None if result else {"failing_factor": failing},
-        "factors": [list(m) for m in factors],
     }

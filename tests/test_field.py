@@ -20,6 +20,13 @@ def f27():
     return ctx_new(3, [2, 2, 0, 1])
 
 
+@pytest.fixture(scope="module")
+def f49t():
+    # F_49 = F_7[t]/(t^2 + t + 3), discriminant 1 - 12 = 3, a non-square mod 7:
+    # the k = 2 modulus whose t term runs the c1 terms of product and inverse
+    return ctx_new(7, [3, 1, 1])
+
+
 class TestCtxNew:
     def test_prime_field(self, f7):
         assert f7.k == 1 and f7.q == 7 and f7.q2 == 49
@@ -160,6 +167,13 @@ class TestHashing:
         assert u == v and hash(u) == hash(v)
         assert len({u, v, c1.tower.from_int(3), c2.from_int(3), 3}) == 2
 
+    def test_ints_equal_mod_p_but_hash_only_in_range(self, f7):
+        x = f7.from_int(3)
+        assert x == 3 and hash(x) == hash(3) and len({x, 3}) == 1
+        # equality reduces an int mod p; hashing cannot
+        assert x == 10 and x == -4
+        assert len({x, 10}) == 2 and len({x, -4}) == 2
+
     def test_values_outside_the_prime_field(self, f49):
         t = f49.generator()
         lifted = t + f49.tower.zero()  # t as a tower payload
@@ -187,24 +201,46 @@ def f25():
     return ctx_new(5, [3, 0, 1])
 
 
+def _check_axioms(ctx, data):
+    x = data.draw(_elements(ctx))
+    y = data.draw(_elements(ctx))
+    z = data.draw(_elements(ctx))
+    assert (x + y) + z == x + (y + z)
+    assert x * y == y * x
+    assert x * (y + z) == x * y + x * z
+    assert x + (-x) == 0
+    if not x.is_zero():
+        assert x * x.inverse() == ctx.tower.one()
+
+
 class TestAxioms:
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
     def test_field_axioms_f625(self, f25, data):
-        x = data.draw(_elements(f25))
-        y = data.draw(_elements(f25))
-        z = data.draw(_elements(f25))
-        assert (x + y) + z == x + (y + z)
-        assert x * y == y * x
-        assert x * (y + z) == x * y + x * z
-        assert x + (-x) == 0
-        if not x.is_zero():
-            assert x * x.inverse() == f25.tower.one()
+        _check_axioms(f25, data)
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_field_axioms_f2401_with_t_term(self, f49t, data):
+        _check_axioms(f49t, data)
 
     def test_inverse_everywhere(self, f27):
         for x in f27.elements():
             if not x.is_zero():
                 assert x * x.inverse() == 1
+
+    def test_inverse_everywhere_with_t_term(self, f49t):
+        for x in list(f49t.elements()) + list(f49t.tower.elements()):
+            if not x.is_zero():
+                assert x * x.inverse() == 1
+
+
+def _check_sqrt_squares_back(ctx):
+    for x in ctx.elements():
+        s = x.sqrt()
+        assert s * s == x
+        # the root stays in the base field exactly for base-field squares
+        assert (s.field is ctx) == x.is_square()
 
 
 class TestSqrt:
@@ -227,11 +263,10 @@ class TestSqrt:
                 break
 
     def test_sqrt_squares_back_everywhere(self, f25):
-        for x in f25.elements():
-            s = x.sqrt()
-            assert s * s == x
-            # the root stays in the base field exactly for base-field squares
-            assert (s.field is f25) == x.is_square()
+        _check_sqrt_squares_back(f25)
+
+    def test_sqrt_squares_back_everywhere_with_t_term(self, f49t):
+        _check_sqrt_squares_back(f49t)
 
     def test_euler_criterion_matches_brute_force(self, f27):
         squares = {(x * x).payload for x in f27.elements()}

@@ -216,8 +216,10 @@ KERNEL_FIELDS = {  # name -> builds the field object
     "F13": lambda: ctx_new(13, [1]),
     "F_2^61-1": lambda: ctx_new(P61, [1]),
     "F5^3": lambda: ctx_new(5, [1, 1, 0, 1]),  # t^3 + t + 1
+    "F7^2": lambda: ctx_new(7, [3, 1, 1]),  # t^2 + t + 3
     "F13^2": lambda: ctx_new(13, [1]).tower,
     "F5^6": lambda: ctx_new(5, [1, 1, 0, 1]).tower,
+    "F7^4": lambda: ctx_new(7, [3, 1, 1]).tower,
 }
 
 
