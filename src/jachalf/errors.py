@@ -27,7 +27,11 @@ class CharacteristicTwo(JachalfError):
 
 
 class ReducibleModulus(JachalfError):
-    """The extension modulus is not irreducible over F_p."""
+    """The extension modulus is not irreducible over F_p, or is too long.
+
+    A modulus of degree k is refused before any power when k^3 * bits(p)
+    exceeds 2^18 (k <= 16 near p = 2^62, k <= 50 at p = 3).
+    """
 
     exit_code = 2
 

@@ -9,6 +9,8 @@ formulas ever need.
 
 p must lie below 2^62, which is checked first; primality is then decided by
 Miller-Rabin to the first twelve prime bases, which is exact in that range.
+The modulus degree k must satisfy k^3 * bits(p) <= 2^18, checked before any
+power, since the irreducibility test and every power cost about k^3 log p.
 
 Square roots and square tests cost O(log q) base-field operations in both
 fields, plus Tonelli-Shanks' O(e^2) where 2^e exactly divides q - 1.  A base
@@ -36,7 +38,7 @@ The payload ops of each field come from one of four constructions:
     by the modulus with the kernel division; the inverse is Fermat's.
   - The tower of F_{p^k}, k >= 2: Karatsuba on the base field's payload ops.
 Every field but F_p runs polymul and polydivmod on its payload ops, and
-Rabin's irreducibility test runs Euclid over F_p on _int_polydivmod.
+Ben-Or's irreducibility test runs Euclid over F_p on _int_polydivmod.
 
 A FieldElement holds the field object of its payload.  Two operands meet
 in join(F, G), the one rule for mixing field objects: the tower when
@@ -88,10 +90,6 @@ def _is_odd_prime(n):
         else:
             return False
     return True
-
-
-def _divisors(n):
-    return [d for d in range(1, n) if n % d == 0]
 
 
 def _int_value(v, what):
@@ -291,7 +289,12 @@ class FieldCtx(_Field):
             )
         if mod[-1] != 1:
             raise ReducibleModulus(f"modulus {given} over F_{p} must be monic")
-        self.k = len(mod) - 1
+        self.k = k = len(mod) - 1
+        if k**3 * p.bit_length() > 2**18:
+            # bounds the cost of the irreducibility test and of every power
+            raise ReducibleModulus(
+                f"modulus of degree {k} over F_{p} is too large (k^3 * bits(p) > 2^18)"
+            )
         self.modulus = mod
         self.q = p**self.k
         self.q2 = self.q * self.q
@@ -355,34 +358,27 @@ class FieldCtx(_Field):
     # -- construction-time validation ------------------------------------
 
     def _check_irreducible(self):
-        """Rabin's test: t^(p^k) = t, and t^(p^d) - t is coprime to the
-        modulus for every proper divisor d of k (Euclid over F_p)."""
-        p, k = self.p, self.k
-        t = (0, 1) + (0,) * (k - 2)
-        if self.pow(t, p**k) != t:
-            raise ReducibleModulus(
-                f"modulus {list(self.modulus)} is not irreducible over F_{p}"
-            )
+        """Ben-Or's test: the modulus m of degree k is irreducible exactly when
+        gcd(m, t^(p^d) - t) = 1 for d = 1 .. k/2.  One Frobenius step per d,
+        Euclid over F_p, and a refusal at the first d that shares a factor."""
+        p, k, m = self.p, self.k, self.modulus
         polydivmod = _int_polydivmod(p)
-        for d in _divisors(k):
-            a, b = self.modulus, list(self.sub(self.pow(t, p**d), t))
+        t = x = (0, 1) + (0,) * (k - 2)
+        for _ in range(k // 2):
+            x = self.pow(x, p)
+            a, b = m, list(self.sub(x, t))
             while b and not b[-1]:
                 b.pop()
             while b:
                 a, b = b, polydivmod(a, b)[1]
             if len(a) != 1:
-                raise ReducibleModulus(
-                    f"modulus {list(self.modulus)} has a factor over F_{p} "
-                    f"of degree dividing {k}"
-                )
+                raise ReducibleModulus(f"modulus {list(m)} is not irreducible over F_{p}")
 
     def _find_nonsquare(self):
-        e = (self.q - 1) // 2
-        minus_one = self.neg(self._one)
         # For even k all of F_p (indices below p) are squares in F_{p^k}.
         for i in range(self.p if self.k % 2 == 0 else 1, self.q):
             cand = self._from_index(i)
-            if self.pow(cand, e) == minus_one:
+            if not self.is_square(cand):
                 return cand
         raise InternalInvariantViolation(
             "no non-square found in an odd-order field"

@@ -243,7 +243,7 @@ def add(d1, d2):
 def negate(d):
     if d.is_zero():
         return d
-    return MumfordDivisor(d.curve, d.U, (-d.V) % d.U, validate=False)
+    return MumfordDivisor(d.curve, d.U, -d.V, validate=False)
 
 
 def double(d):

@@ -101,24 +101,20 @@ def all_halves_rational_report(point):
 
 def _frobenius_orbits(curve):
     """Partition the curve roots into Frobenius orbits (indices)."""
-    roots = list(curve.roots)
-    seen = [False] * len(roots)
+    index = {alpha: i for i, alpha in enumerate(curve.roots)}
+    seen = set()
     orbits = []
-    for i, alpha in enumerate(roots):
-        if seen[i]:
+    for i, alpha in enumerate(curve.roots):
+        if i in seen:
             continue
         orbit = [i]
-        seen[i] = True
         beta = alpha.frobenius()
         while beta != alpha:
-            for j, other in enumerate(roots):
-                if not seen[j] and other == beta:
-                    orbit.append(j)
-                    seen[j] = True
-                    break
-            else:
+            if beta not in index:
                 raise NonRationalCurve("root set is not Frobenius-stable")
+            orbit.append(index[beta])
             beta = beta.frobenius()
+        seen.update(orbit)
         orbits.append(orbit)
     return orbits
 

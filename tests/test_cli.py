@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -254,6 +255,17 @@ class TestParsing:
         code, out, err = run(capsys, ["halve", "--curve", str(path), "--point", "1,0"])
         assert code == 2 and out == ""
         assert err.startswith("error:") and str(modulus) in err
+
+    def test_long_modulus_is_exit_2_before_any_power(self, capsys, tmp_path):
+        # k^3 * bits(p) far above the bound: refused in well under a second
+        path = tmp_path / "long.json"
+        modulus = [1] * 1001
+        path.write_text(json.dumps({"p": 2**61 - 1, "modulus": modulus, "roots": [[0], [1], [2]]}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["halve", "--curve", str(path), "--point", "1,0"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "degree 1000" in err
 
     def test_deeply_nested_point_is_exit_2(self, capsys, g1_curve_file):
         point = "[" * 5000 + "]" * 5000

@@ -1,5 +1,7 @@
 """Field tower arithmetic: contexts, axioms, square roots, Frobenius."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -67,6 +69,55 @@ class TestCtxNew:
     def test_ctx_mismatch_between_fields(self, f7, f49):
         with pytest.raises(CtxMismatch):
             f7.from_int(1) + f49.from_int(1)
+
+
+def _monic_moduli(p, k):
+    """Every monic polynomial of degree k over F_p, low-to-high."""
+    return [list(low) + [1] for low in itertools.product(range(p), repeat=k)]
+
+
+def _has_factor(m, p, d):
+    """Whether some monic polynomial of degree d divides m, by trial division."""
+    for f in _monic_moduli(p, d):
+        r = list(m)
+        for i in range(len(r) - 1, d - 1, -1):
+            c = r[i]
+            for j in range(d + 1):
+                r[i - d + j] = (r[i - d + j] - c * f[j]) % p
+        if not any(r[:d]):
+            return True
+    return False
+
+
+class TestIrreducibility:
+    @pytest.mark.parametrize(
+        "p, counts",
+        [(3, [3, 8, 18, 48, 116]), (5, [10, 40, 150]), (7, [21, 112])],
+    )
+    def test_accepts_exactly_the_irreducible_moduli(self, p, counts):
+        # Gauss's counts of monic irreducibles of degree 2, 3, ... over F_p; the
+        # reducible ones include splits such as 5 = 2 + 3, degrees not dividing k
+        for k, count in enumerate(counts, 2):
+            accepted = 0
+            for m in _monic_moduli(p, k):
+                irreducible = not any(_has_factor(m, p, d) for d in range(1, k // 2 + 1))
+                try:
+                    ctx_new(p, m)
+                except ReducibleModulus:
+                    assert not irreducible, m
+                else:
+                    accepted += 1
+                    assert irreducible, m
+            assert accepted == count
+
+    @pytest.mark.parametrize("p, k", [(3, 50), (2**61 - 1, 16)])
+    def test_degree_bound(self, p, k):
+        # the largest degree within k^3 * bits(p) <= 2^18 reaches the
+        # irreducibility test; the next one is refused before it
+        with pytest.raises(ReducibleModulus, match="not irreducible"):
+            ctx_new(p, [0] * k + [1])
+        with pytest.raises(ReducibleModulus, match=f"degree {k + 1} .* too large"):
+            ctx_new(p, [0] * (k + 1) + [1])
 
 
 class TestPrimality:
