@@ -25,7 +25,7 @@ from .errors import (
     WeierstrassCollision,
 )
 from .poly import Poly, elementary_symmetric, gcd
-from .jacobian import MumfordDivisor, add, to_class
+from .jacobian import MumfordDivisor, double, to_class
 
 
 class SqrtTuple:
@@ -188,7 +188,7 @@ def halve(point, verify=True):
             raise InternalInvariantViolation("halves are not pairwise distinct")
         target = to_class(point)
         for h in halves:
-            if add(h.divisor, h.divisor) != target:
+            if double(h.divisor) != target:
                 raise InternalInvariantViolation("double(half) != class of P")
             if point.b.is_zero() and not h.U(point.a):
                 raise InternalInvariantViolation("P lies in the support of a half")
@@ -215,7 +215,7 @@ def recover_tuple(d, point=None, s1=None):
         raise InfinityInput("halves of the point at infinity are out of scope")
 
     curve = divisor.curve
-    if add(divisor, divisor) != to_class(point):
+    if double(divisor) != to_class(point):
         raise NotAHalf("divisor does not double to the given point")
 
     g = curve.g

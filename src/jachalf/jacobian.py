@@ -3,6 +3,16 @@
 The group law is Cantor composition followed by reduction, returning the
 unique fully reduced representative (U monic, deg V < deg U <= g, U | V^2 - f).
 It doubles as the independent verification oracle for the halving formulas.
+
+add is the generic law.  double is Cantor's doubling (Math. Comp. 48,
+1987): one xgcd(U, 2V), U^2 as the composed U, and a first reduction step
+that never forms V^2; when gcd(U, 2V) != 1 (a Weierstrass point in the
+support) it is add(d, d).  scalar_mul walks a width-4 signed-digit (NAF)
+expansion, odd digits in (-8, 8), taking negative digits from negate, which
+is free because the hyperelliptic involution acts as -1 on the Jacobian.
+halve(verify=True), recover_tuple and torsion_scan call double; the
+acceptance tests check the halves with the generic add, so the oracle they
+use stays independent of the doubling formula.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ from .errors import (
     InvalidDivisor,
     NotOnCurve,
 )
+from .field import _int_value
 from .poly import (
     Poly,
     common_payloads,
@@ -216,9 +227,9 @@ def add(d1, d2):
     plus, times, divide = partial(padd, F), F.polymul, partial(pdivmod, F)
 
     g1, e1, e2 = pxgcd(F, U1, U2)
-    if len(g1) == 1:  # gcd(U1, U2) = 1
+    if len(g1) == 1:  # gcd(U1, U2) = 1: V3 = V1 mod U1 and V3 = V2 mod U2
         U3 = times(U1, U2)
-        V3 = divide(plus(times(times(e1, U1), V2), times(times(e2, U2), V1)), U3)[1]
+        V3 = plus(V1, times(U1, divide(times(e1, psub(F, V2, V1)), U2)[1]))
     else:
         d, c1, c2 = pxgcd(F, g1, plus(V1, V2))
         U3 = divide(times(U1, U2), times(d, d))[0]
@@ -227,9 +238,13 @@ def add(d1, d2):
             times(c2, plus(times(V1, V2), f)),
         )
         V3 = divide(divide(num, d)[0], U3)[1]
+    return _reduce(curve, F, f, U3, V3)
 
-    g = curve.g
-    while len(U3) > g + 1:
+
+def _reduce(curve, F, f, U3, V3):
+    """Cantor's reduction of a composed pair with deg V3 < deg U3, over F."""
+    times, divide = F.polymul, partial(pdivmod, F)
+    while len(U3) > curve.g + 1:
         U3n = pmonic(F, divide(psub(F, f, times(V3, V3)), U3)[0])
         V3 = divide(pneg(F, V3), U3n)[1]
         U3 = U3n
@@ -247,22 +262,70 @@ def negate(d):
 
 
 def double(d):
-    return add(d, d)
+    """2D by Cantor's doubling, equal to add(d, d).
+
+    With c * 2V = 1 mod U and W = (f - V^2)/U, the composed pair is
+    U3 = U^2, V3 = V + U * (c W mod U).  The first reduction step,
+    (f - V3^2)/U3 = (W - 2Vk)/U - k^2 with k = c W mod U, never forms V3^2.
+    When gcd(U, 2V) != 1 (a Weierstrass point in the support) this is
+    add(d, d).
+    """
+    if d.is_zero():
+        return d
+    curve = d.curve
+    F, (U, V, f) = common_payloads(d.U, d.V, curve.f)
+    times, divide = F.polymul, partial(pdivmod, F)
+    twoV = padd(F, V, V)
+    g1, _, c = pxgcd(F, U, twoV)
+    if len(g1) != 1:
+        return add(d, d)
+    W = divide(psub(F, f, times(V, V)), U)[0]
+    k = divide(times(c, W), U)[1]
+    U3 = times(U, U)
+    V3 = padd(F, V, times(U, k))
+    if len(U3) > curve.g + 1:
+        U3n = pmonic(F, psub(F, divide(psub(F, W, times(twoV, k)), U)[0], times(k, k)))
+        V3 = divide(pneg(F, V3), U3n)[1]
+        U3 = U3n
+    return _reduce(curve, F, f, U3, V3)
+
+
+def _naf4(n):
+    """Width-4 NAF of n > 0, least significant digit first: each digit is 0
+    or odd in (-8, 8), and any two nonzero digits are at least four places
+    apart."""
+    digits = []
+    while n:
+        r = 0
+        if n & 1:
+            r = (n & 15) - 16 if n & 8 else n & 15
+            n -= r
+        digits.append(r)
+        n >>= 1
+    return digits
 
 
 def scalar_mul(n, d):
-    n = int(n)
+    """nD by a width-4 signed window: about log2(n) doublings and log2(n)/5
+    additions, negative digits taking the negation, which is free.  Only
+    the odd multiples D, 3D, ... up to the largest digit used are built."""
+    n = _int_value(n, "scalar")
     if n < 0:
-        return scalar_mul(-n, negate(d))
-    acc = zero_class(d.curve)
+        n, d = -n, negate(d)
     if n == 0:
-        return acc
-    bits = bin(n)[2:]
-    acc = d
-    for bit in bits[1:]:
+        return zero_class(d.curve)
+    digits = _naf4(n)
+    odd = [d]  # odd[i] = (2i + 1) D
+    top = max(map(abs, digits))
+    if top > 1:
+        twice = double(d)
+        while 2 * len(odd) - 1 < top:
+            odd.append(add(odd[-1], twice))
+    acc = odd[digits.pop() >> 1]  # the leading digit is positive
+    for r in reversed(digits):
         acc = double(acc)
-        if bit == "1":
-            acc = add(acc, d)
+        if r:
+            acc = add(acc, odd[r >> 1] if r > 0 else negate(odd[-r >> 1]))
     return acc
 
 
@@ -296,7 +359,7 @@ def torsion_scan(curve, n_max):
             d = to_class(p)
             chain = d
             for n in range(2, hi + 1):
-                chain = add(chain, d)  # chain = n * P
+                chain = double(d) if n == 2 else add(chain, d)  # chain = n * P
                 if n == 2 and chain.U.degree() != g:
                     violations.append(
                         {"point": [p.a.encode(), p.b.encode()],

@@ -23,6 +23,12 @@ CURVES = {
     "p61g3": {"p": 2**61 - 1, "modulus": [1], "roots": [[i] for i in range(7)]},
 }
 
+# divisor files, named in argv by their key
+DIVISORS = {
+    # (0, 0) + (6, 4) on g2: a Weierstrass point in the support, gcd(U, 2V) = x
+    "g2-weierstrass": {"U": [[0], [5], [1]], "V": [[0], [8]]},
+}
+
 # (curve, argv after --curve, line count, first line, sha256 of stdout)
 CASES = [
     (
@@ -78,6 +84,20 @@ CASES = [
         "d3e92ea4b4f9f53ef015e8f6173b2ba529daf11fc2e80aefcfa6b86caf1f64a9",
     ),
     (
+        "g2", ["group", "double", "--divisor", "g2-weierstrass"], 1,
+        '{"U":[[3],[10],[1]],"V":[[2],[4]]}',
+        "3fe55a1c165fc081e319b5fe9214a47dfeb94a68c8d1c81d9a045e08529d8dea",
+    ),
+    (
+        "p61g2",
+        ["group", "mul", "--scalar", "-1987654321987654321",
+         "--point", "123456789012345,668066065956409900"],
+        1,
+        '{"U":[[261326287292509373],[599984326591080377],[1]],'
+        '"V":[[2208909941314142557],[1763332630145176845]]}',
+        "67f74c3960f32876b8600acb5f0399cdd53317ae11f254a62c01aa0967db489d",
+    ),
+    (
         "g2", ["torsion-scan", "--max-order", "4"], 1,
         '{"points_scanned":133,"violations":[]}',
         "ff338e1de46d0382031c7d1eadd0984692d965ec7438d13b5a444d7b92c4dfa3",
@@ -91,6 +111,9 @@ CASES = [
 def test_stdout_is_frozen(capsys, tmp_path, name, argv, n_lines, first, digest):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(CURVES[name]))
+    for key in set(argv) & set(DIVISORS):
+        (tmp_path / f"{key}.json").write_text(json.dumps(DIVISORS[key]))
+    argv = [str(tmp_path / f"{a}.json") if a in DIVISORS else a for a in argv]
     code = main([argv[0], "--curve", str(path)] + argv[1:])
     out = capsys.readouterr().out
     assert code == 0

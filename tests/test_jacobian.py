@@ -230,6 +230,108 @@ class TestGroupLaw:
             assert to_class(pt.involution()) == negate(to_class(pt))
 
 
+P61 = 2**61 - 1
+
+
+def _divisor_pool(curve, field, rng, n_random=12):
+    """Reduced divisors over field: random sums of at most g points, and
+    the degenerate ones a doubling must handle.  Returns (pool, two_torsion).
+    """
+    ctx, g = curve.ctx, curve.g
+    if field.p == P61:
+        xs = [field.from_int(rng.randrange(P61)) for _ in range(40)]
+    else:
+        xs = list(field.elements())
+    pts = []
+    for x in xs:
+        fx = curve.f(x)
+        if not fx.is_zero() and fx.is_square():
+            pts.append(Point(curve, x, fx.sqrt()))
+    weierstrass = [to_class(Point(curve, r, ctx.zero())) for r in curve.roots]
+    two_torsion = [weierstrass[0], add(weierstrass[0], weierstrass[1])]
+    pool = [zero_class(curve), to_class(pts[0])] + two_torsion
+    pool.append(add(weierstrass[2], to_class(pts[1])))  # gcd(U, 2V) != 1
+    for _ in range(n_random):
+        d = zero_class(curve)
+        for _ in range(rng.randint(1, g)):
+            d = add(d, to_class(rng.choice(pts)))
+        pool.append(d)
+    return pool, two_torsion
+
+
+def _ladder(n, d):
+    """n * d by the plain binary ladder on the generic add."""
+    if n < 0:
+        return _ladder(-n, negate(d))
+    acc = zero_class(d.curve)
+    for bit in bin(n)[2:]:
+        acc = add(acc, acc)
+        if bit == "1":
+            acc = add(acc, d)
+    return acc
+
+
+class TestDoubling:
+    @pytest.mark.parametrize(
+        "p,modulus,tower",
+        [(13, [1], False), (P61, [1], False), (7, [1, 0, 1], False), (13, [1], True)],
+        ids=["F13", "F_p61", "F49", "F13-tower"],
+    )
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_double_is_add_to_itself(self, p, modulus, tower, g):
+        rng = random.Random(p + g)
+        ctx = ctx_new(p, modulus)
+        if p == P61:
+            curve = curve_new(ctx, [rng.randrange(P61) for _ in range(2 * g + 1)])
+        else:
+            curve = random_curve(ctx, g, rng)
+        pool, two_torsion = _divisor_pool(curve, ctx.tower if tower else ctx, rng)
+        if g > 1:  # a pair with no reduction step
+            assert any(2 * d.U.degree() <= g for d in pool if not d.is_zero())
+        assert any(gcd(d.U, d.V + d.V).degree() > 0 for d in pool if not d.is_zero())
+        for d in pool:
+            twice = double(d)
+            assert twice == add(d, d) and twice.encode() == add(d, d).encode()
+        assert all(double(d).is_zero() for d in two_torsion)
+        assert double(pool[0]) is pool[0]
+
+
+class TestScalarMul:
+    @pytest.mark.parametrize("g,p", [(1, 13), (2, 13), (3, 11)])
+    def test_matches_binary_ladder(self, g, p):
+        """Every n in [-70, 70], multiples of the order and 10^20-sized n,
+        against the binary ladder on the generic add."""
+        rng = random.Random(g)
+        curve = random_curve(ctx_new(p, [1]), g, rng)
+        pool, _ = _divisor_pool(curve, curve.ctx, rng, n_random=4)
+        orders = []
+        for d in pool:
+            acc, order = d, 1
+            while not acc.is_zero() and order <= 70:
+                acc, order = add(acc, d), order + 1
+            big = [rng.randrange(10**20, 10**21) for _ in range(3)]
+            if acc.is_zero():
+                orders.append(order)
+                big += [order * 10**19, order * 10**19 + 1]
+            for n in list(range(-70, 71)) + big + [-n for n in big]:
+                assert scalar_mul(n, d).encode() == _ladder(n, d).encode()
+        assert any(order > 2 for order in orders)
+
+    def test_large_prime_field(self):
+        rng = random.Random(61)
+        for g in (1, 2, 3):
+            curve = curve_new(ctx_new(P61, [1]), list(range(2 * g + 1)))
+            pool, _ = _divisor_pool(curve, curve.ctx, rng, n_random=2)
+            for d in pool[-3:]:
+                for n in (rng.getrandbits(61), -rng.getrandbits(61), 10**20 + 7):
+                    assert scalar_mul(n, d).encode() == _ladder(n, d).encode()
+
+    @pytest.mark.parametrize("n", [2.9, "3", True, None])
+    def test_non_integer_scalar_is_refused(self, p42, n):
+        with pytest.raises(TypeError):
+            scalar_mul(n, to_class(p42))
+
+
 class TestTorsionScan:
     def test_g1_vacuous(self, curve_g1_f7):
         report = torsion_scan(curve_g1_f7, 4)
