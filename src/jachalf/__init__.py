@@ -9,6 +9,7 @@ from .errors import (
     DuplicateRoot,
     EvenDegree,
     FieldTooLarge,
+    GenusTooLarge,
     InfinityInput,
     InternalInvariantViolation,
     InvalidDivisor,
@@ -21,7 +22,6 @@ from .errors import (
     PointNotRational,
     ReducibleModulus,
     TowerExhausted,
-    WeierstrassCollision,
 )
 from .field import FieldCtx, FieldElement, TowerField, ctx_new
 from .poly import Poly, elementary_symmetric, from_roots, gcd, xgcd

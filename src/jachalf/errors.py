@@ -1,10 +1,10 @@
 """Exception types shared across the library.
 
 Each class declares the exit code the CLI gives it: 2 for malformed or
-out-of-scope input, 3 for a point off the curve or an invalid divisor, 4 for
-the point at infinity where an affine point is needed, 5 for a field too
-large to scan, and the default 1 for an error that only a library bug can
-raise.
+out-of-scope input, 3 for a point off the curve, an invalid divisor or a
+divisor that is not the claimed half, 4 for the point at infinity where an
+affine point is needed, 5 for a field too large to scan, and the default 1
+for an error that only a library bug can raise.
 """
 
 
@@ -99,11 +99,20 @@ class InternalInvariantViolation(JachalfError):
 
 
 class NotAHalf(JachalfError):
-    """The divisor class does not double to the given point."""
+    """The divisor is not the half of the given point with the given s_1.
+
+    recover_tuple decides this by the certificate f - v_D^2 = (x - a) U^2
+    with v_D(a) = -b, where v_D = V + (-1)^g s_1 U; no group law is used.
+    """
+
+    exit_code = 3
 
 
-class WeierstrassCollision(JachalfError):
-    """U vanishes at a curve root; cannot happen for a genuine half."""
+class GenusTooLarge(JachalfError):
+    """Halving on a curve of genus above halving.HALVE_GENUS_LIMIT, whose 4^g
+    halves would not fit in bounded time and memory."""
+
+    exit_code = 2
 
 
 class PointNotRational(JachalfError):

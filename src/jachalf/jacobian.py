@@ -10,9 +10,10 @@ that never forms V^2; when gcd(U, 2V) != 1 (a Weierstrass point in the
 support) it is add(d, d).  scalar_mul walks a width-4 signed-digit (NAF)
 expansion, odd digits in (-8, 8), taking negative digits from negate, which
 is free because the hyperelliptic involution acts as -1 on the Jacobian.
-halve(verify=True), recover_tuple and torsion_scan call double; the
-acceptance tests check the halves with the generic add, so the oracle they
-use stays independent of the doubling formula.
+torsion_scan calls double.  Halving verifies its output by a certificate,
+not by this group law (see halving._half_failure); the acceptance tests
+check the halves with the generic add, so the oracle they use stays
+independent of both the halving formulas and the doubling formula.
 """
 
 from __future__ import annotations
@@ -332,8 +333,10 @@ def scalar_mul(n, d):
 def torsion_scan(curve, n_max):
     """Exhaustive affine-point census over the tower field with order checks.
 
-    For every point P found: 2P must have a degree-g representative (P not
-    2-torsion), and for g > 1 no P may have order n for 3 <= n <= min(n_max, 2g).
+    For every point P found: the reduced representative of 2P must have
+    deg U = min(g, 2), i.e. (x - a)^2 for g >= 2 and a point for g = 1 (P not
+    2-torsion), and for g > 1 no P may have order n for
+    3 <= n <= min(n_max, 2g).
     Returns {"points_scanned": int, "violations": [...]}.
     """
     ctx = curve.ctx
@@ -343,6 +346,7 @@ def torsion_scan(curve, n_max):
         )
     g = curve.g
     hi = min(int(n_max), 2 * g) if g > 1 else 2
+    deg_2p = min(g, 2)  # 2P - 2(infinity) is reduced for g >= 2
     violations = []
     points = 0
     for x in ctx.tower.elements():
@@ -360,7 +364,7 @@ def torsion_scan(curve, n_max):
             chain = d
             for n in range(2, hi + 1):
                 chain = double(d) if n == 2 else add(chain, d)  # chain = n * P
-                if n == 2 and chain.U.degree() != g:
+                if n == 2 and chain.U.degree() != deg_2p:
                     violations.append(
                         {"point": [p.a.encode(), p.b.encode()],
                          "kind": "double-left-theta", "deg_u": chain.U.degree()}

@@ -83,6 +83,15 @@ class TestHalve:
         assert code == 2 and out == ""
         assert "[[[0], [1]], [[3], [5]]]" in err
 
+    def test_genus_above_the_halving_bound_is_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "g12.json"
+        path.write_text(json.dumps({"p": 101, "modulus": [1], "roots": [[i] for i in range(25)]}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["halve", "--curve", str(path), "--point", "0,0"])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "genus 12" in err
+        assert time.perf_counter() - start < 5
+
     def test_rationality_of_halves_of_a_tower_point(self, capsys, tmp_path):
         path = tmp_path / "f25.json"
         path.write_text(

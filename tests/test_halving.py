@@ -5,13 +5,20 @@ import time
 
 import pytest
 
-from jachalf.errors import InfinityInput, NotAHalf
+from jachalf.errors import InfinityInput, InternalInvariantViolation, NotAHalf
 from jachalf.field import ctx_new
-from jachalf.halving import halve, mumford_from_tuple, recover_tuple, sqrt_tuples
-from jachalf.jacobian import Point, add, curve_new, double, negate, to_class
+from jachalf.halving import SqrtTuple, halve, mumford_from_tuple, recover_tuple, sqrt_tuples
+from jachalf.jacobian import MumfordDivisor, Point, add, curve_new, double, negate, to_class
 from jachalf.poly import Poly, from_roots
 
 from helpers import make_ctx, random_curve, random_point
+
+
+def _g2_point():
+    """A point with b != 0 on y^2 = x(x - 1)(x - 2)(x - 3)(x - 4) over F_13."""
+    ctx = ctx_new(13, [1])
+    curve = curve_new(ctx, [0, 1, 2, 3, 4])
+    return Point(curve, 5, curve.f(ctx.from_int(5)).sqrt())
 
 
 class TestSqrtTuples:
@@ -65,6 +72,16 @@ class TestMumfordFromTuple:
             a = p10.a
             xma = Poly(p10.curve.ctx.tower, (-a, 1))
             assert f - half.v_d * half.v_d == xma * half.U * half.U
+
+    def test_self_check_rejects_wrong_product(self, p42):
+        """Negating one r_i gives prod r_i = +b: the formulas still return a
+        pair, and the certificate must refuse it."""
+        for pt in (p42, _g2_point()):
+            t = sqrt_tuples(pt)[1]
+            r = list(t.r)
+            r[0] = -r[0]
+            with pytest.raises(InternalInvariantViolation):
+                mumford_from_tuple(SqrtTuple(pt.curve, pt, r, t.index), verify=True)
 
 
 class TestHalve:
@@ -170,6 +187,43 @@ class TestRecoverTuple:
         d = to_class(Point(curve_g1_f7, 1, 0))  # 2-torsion, not a half of (4, 2)
         with pytest.raises(NotAHalf):
             recover_tuple(d, point=p42, s1=ctx.tower.zero())
+
+    @pytest.fixture(scope="class")
+    def half_g2(self):
+        return halve(_g2_point())[5]
+
+    @pytest.mark.parametrize("wrong", ["s1 + 1", "5"])
+    def test_wrong_s1_is_not_a_half(self, half_g2, wrong):
+        s1 = half_g2.s[0] + 1 if wrong == "s1 + 1" else 5
+        assert s1 != half_g2.s[0]
+        with pytest.raises(NotAHalf, match="s_1"):
+            recover_tuple(half_g2.divisor, point=half_g2.tuple.point, s1=s1)
+
+    def test_negated_half_fails_only_the_sign_check(self, half_g2):
+        """-v_D satisfies the identity too, and certifies 2D = iota(P)."""
+        point, s1 = half_g2.tuple.point, half_g2.s[0]
+        neg = negate(half_g2.divisor)
+        v = neg.V - neg.U * s1  # V + (-1)^g s_1 U with g = 2 and s_1 -> -s_1
+        curve = point.curve
+        xma = Poly(curve.ctx, (-point.a, 1))
+        assert curve.f - v * v == xma * neg.U * neg.U
+        with pytest.raises(NotAHalf, match="v_D"):
+            recover_tuple(neg, point=point, s1=-s1)
+
+    def test_v_d_is_built_from_the_divisor(self, half_g2):
+        """A V off by a constant, passed with the right s_1, is refused."""
+        d = half_g2.divisor
+        bent = MumfordDivisor(d.curve, d.U, d.V + 1, validate=False)
+        with pytest.raises(NotAHalf):
+            recover_tuple(bent, point=half_g2.tuple.point, s1=half_g2.s[0])
+
+    def test_unreduced_pair_is_not_a_half(self, half_g2):
+        """(U, V + U) with s_1 - 1 and (-U, V) with -s_1 give the same v_D and
+        pass the identity; only the shape check refuses them (g = 2)."""
+        d, point, s1 = half_g2.divisor, half_g2.tuple.point, half_g2.s[0]
+        for U, V, s in ((d.U, d.V + d.U, s1 - 1), (-d.U, d.V, -s1)):
+            with pytest.raises(NotAHalf, match="monic of degree g"):
+                recover_tuple(MumfordDivisor(d.curve, U, V, validate=False), point=point, s1=s)
 
     def test_roundtrip_g2(self, curve_g2_f49):
         rng = random.Random(9)

@@ -338,6 +338,14 @@ class TestTorsionScan:
         assert report["violations"] == []
         assert report["points_scanned"] == 63  # |C(F_49)| - 1 point at infinity
 
+    @pytest.mark.parametrize("p", [7, 11])
+    def test_g3_clean(self, p):
+        """For g >= 2, 2P reduces to ((x - a)^2, .), so deg U = 2 < g at g = 3."""
+        curve = curve_new(ctx_new(p, [1]), range(7))
+        report = torsion_scan(curve, 6)
+        assert report["points_scanned"] > 0
+        assert report["violations"] == []
+
     def test_field_too_large(self):
         ctx = ctx_new(1009, [1])
         curve = curve_new(ctx, [0, 1, 2])
