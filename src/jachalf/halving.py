@@ -178,8 +178,9 @@ def _half_failure(divisor, point, s1):
     f - v_D^2 = (x - a) U^2, so the identity proves 2 cl(D) = cl((P) -
     (infinity)) once v_D(a) = -b; without that check -v_D would certify
     2D = iota(P).  As v_D = V mod U the identity also gives U | V^2 - f, and
-    with U monic, deg U = g, deg V < g and U(alpha_i) != 0 it makes (U, V)
-    a reduced half.  For b = 0, a is a root, so P lies outside the support.
+    with U monic, deg U = g and deg V < g it makes (U, V) a reduced half
+    with U(alpha_i) != 0 (see below).  For b = 0, a is a root, so P lies
+    outside the support.
     """
     curve = divisor.curve
     U, V, g = divisor.U, divisor.V, curve.g
@@ -191,8 +192,9 @@ def _half_failure(divisor, point, s1):
         return "v_D(a) != -b"
     if curve.f - v_d * v_d != Poly(curve.ctx, (-a, 1)) * U * U:
         return "f - v_D^2 != (x - a) U^2"
-    if any(U(alpha).is_zero() for alpha in curve.roots):
-        return "U vanishes at a root of f"
+    # No root alpha of f needs U(alpha) != 0 checked: U(alpha) = 0 would give
+    # v_D(alpha)^2 = f(alpha) = 0, so (x - alpha)^2 would divide both v_D^2
+    # and (x - a) U^2, hence f, which is squarefree.
     return None
 
 

@@ -4,16 +4,21 @@ The group law is Cantor composition followed by reduction, returning the
 unique fully reduced representative (U monic, deg V < deg U <= g, U | V^2 - f).
 It doubles as the independent verification oracle for the halving formulas.
 
-add is the generic law.  double is Cantor's doubling (Math. Comp. 48,
-1987): one xgcd(U, 2V), U^2 as the composed U, and a first reduction step
-that never forms V^2; when gcd(U, 2V) != 1 (a Weierstrass point in the
-support) it is add(d, d).  scalar_mul walks a width-4 signed-digit (NAF)
-expansion, odd digits in (-8, 8), taking negative digits from negate, which
-is free because the hyperelliptic involution acts as -1 on the Jacobian.
-torsion_scan calls double.  Halving verifies its output by a certificate,
-not by this group law (see halving._half_failure); the acceptance tests
-check the halves with the generic add, so the oracle they use stays
-independent of both the halving formulas and the doubling formula.
+add is the generic law, pure Cantor.  double doubles a point class
+(x - a, b) by the tangent at (a, b): one inversion, and for g = 1 the
+classical tangent rule in place of a reduction step.  Every other class
+takes Cantor's doubling (Math. Comp. 48, 1987): one xgcd(U, 2V), U^2 as the
+composed U, and a first reduction step that never forms V^2; when
+gcd(U, 2V) != 1 (a Weierstrass point in the support) it is add(d, d).
+scalar_mul walks a width-4 signed-digit (NAF) expansion, odd digits in
+(-8, 8), taking negative digits from negate, which is free because the
+hyperelliptic involution acts as -1 on the Jacobian.  torsion_scan doubles
+each point by the tangent and tests nP = 0 as ceil(n/2) P = -floor(n/2) P,
+so it builds only half of the multiples.  Halving verifies its output by a
+certificate, not by this group law (see halving._half_failure); the
+acceptance tests check the halves with the generic add, so the oracle they
+use stays independent of both the halving formulas and the doubling
+formulas.
 """
 
 from __future__ import annotations
@@ -262,19 +267,49 @@ def negate(d):
     return MumfordDivisor(d.curve, d.U, -d.V, validate=False)
 
 
-def double(d):
-    """2D by Cantor's doubling, equal to add(d, d).
+def _double_point(curve, F, a, b, f):
+    """2 cl((P) - (infinity)) for P = (a, b), b != 0, by the tangent at P,
+    over F.
 
-    With c * 2V = 1 mod U and W = (f - V^2)/U, the composed pair is
-    U3 = U^2, V3 = V + U * (c W mod U).  The first reduction step,
-    (f - V3^2)/U3 = (W - 2Vk)/U - k^2 with k = c W mod U, never forms V3^2.
-    When gcd(U, 2V) != 1 (a Weierstrass point in the support) this is
-    add(d, d).
+    lambda = f'(a) / 2b is the slope of the tangent y = b + lambda (x - a).
+    For g >= 2 the pair ((x - a)^2, b + lambda (x - a)) is already reduced.
+    For g = 1 the tangent meets the curve again at x3 = lambda^2 - f2 - 2a
+    (f2 the x^2 coefficient of f), and 2P = (x3, -(b + lambda (x3 - a))).
+    """
+    add, sub, mul = F.add, F.sub, F.mul
+    fa, dfa = f[-1], F._zero  # Horner on f and on f'
+    for c in f[-2::-1]:
+        dfa = add(mul(dfa, a), fa)
+        fa = add(mul(fa, a), c)
+    lam = mul(dfa, F.inv(add(b, b)))
+    if curve.g == 1:
+        x3 = sub(sub(mul(lam, lam), f[2]), add(a, a))
+        U3 = (F.neg(x3), F._one)
+        V3 = (F.neg(add(b, mul(lam, sub(x3, a)))),)
+    else:
+        U3 = (mul(a, a), F.neg(add(a, a)), F._one)
+        V3 = (sub(b, mul(lam, a)), lam)
+    return MumfordDivisor(
+        curve, from_payloads(F, U3), from_payloads(F, V3), validate=False
+    )
+
+
+def double(d):
+    """2D, equal to add(d, d).
+
+    A point class (x - a, b) doubles by the tangent rule (_double_point).
+    Any other class takes Cantor's doubling: with c * 2V = 1 mod U and
+    W = (f - V^2)/U, the composed pair is U3 = U^2, V3 = V + U * (c W mod U).
+    The first reduction step, (f - V3^2)/U3 = (W - 2Vk)/U - k^2 with
+    k = c W mod U, never forms V3^2.  When gcd(U, 2V) != 1 (a Weierstrass
+    point in the support) this is add(d, d).
     """
     if d.is_zero():
         return d
     curve = d.curve
     F, (U, V, f) = common_payloads(d.U, d.V, curve.f)
+    if len(U) == 2:  # a point (a, b); b = 0 is 2-torsion
+        return _double_point(curve, F, F.neg(U[0]), V[0], f) if V else zero_class(curve)
     times, divide = F.polymul, partial(pdivmod, F)
     twoV = padd(F, V, V)
     g1, _, c = pxgcd(F, U, twoV)
@@ -336,7 +371,10 @@ def torsion_scan(curve, n_max):
     For every point P found: the reduced representative of 2P must have
     deg U = min(g, 2), i.e. (x - a)^2 for g >= 2 and a point for g = 1 (P not
     2-torsion), and for g > 1 no P may have order n for
-    3 <= n <= min(n_max, 2g).
+    3 <= n <= hi = min(n_max, 2g).  Only the multiples mP for
+    m <= ceil(hi/2) are built, 2P by double and the rest by add; nP = 0
+    exactly when ceil(n/2) P = -floor(n/2) P, which compares reduced Mumford
+    pairs, unique per class.  At g = 2 that needs no add at all.
     Returns {"points_scanned": int, "violations": [...]}.
     """
     ctx = curve.ctx
@@ -361,15 +399,16 @@ def torsion_scan(curve, n_max):
             points += 1
             p = Point(curve, x, b)
             d = to_class(p)
-            chain = d
-            for n in range(2, hi + 1):
-                chain = double(d) if n == 2 else add(chain, d)  # chain = n * P
-                if n == 2 and chain.U.degree() != deg_2p:
-                    violations.append(
-                        {"point": [p.a.encode(), p.b.encode()],
-                         "kind": "double-left-theta", "deg_u": chain.U.degree()}
-                    )
-                if n >= 3 and chain.is_zero():
+            mult = [None, d, double(d)]  # mult[m] = m * P
+            if mult[2].U.degree() != deg_2p:
+                violations.append(
+                    {"point": [p.a.encode(), p.b.encode()],
+                     "kind": "double-left-theta", "deg_u": mult[2].U.degree()}
+                )
+            while len(mult) <= (hi + 1) // 2:
+                mult.append(add(mult[-1], d))
+            for n in range(3, hi + 1):
+                if mult[(n + 1) // 2] == negate(mult[n // 2]):
                     violations.append(
                         {"point": [p.a.encode(), p.b.encode()],
                          "kind": "small-order", "order": n}

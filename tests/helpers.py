@@ -49,10 +49,11 @@ def random_rational_curve(ctx, g, rng):
     return curve_new(ctx, roots)
 
 
-def affine_points(curve, prime_only=False):
-    """All affine points with base-field coordinates, in scan order."""
+def affine_points(curve, prime_only=False, field=None):
+    """All affine points with coordinates in field (default: the base
+    field), in scan order."""
     out = []
-    for a in curve.ctx.elements():
+    for a in (field or curve.ctx).elements():
         if prime_only and not a.in_prime_field():
             continue
         fa = curve.f(a)

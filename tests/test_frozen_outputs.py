@@ -16,6 +16,7 @@ CURVES = {
     "g1": {"p": 7, "modulus": [1], "roots": [[0], [1], [6]]},
     "g2": {"p": 11, "modulus": [1], "roots": [[0], [1], [2], [3], [4]]},
     "g3": {"p": 13, "modulus": [1], "roots": [[0], [1], [2], [3], [4], [5], [6]]},
+    "g3f11": {"p": 11, "modulus": [1], "roots": [[0], [1], [2], [3], [4], [5], [6]]},
     # F_25 = F_5[t]/(t^2 + 3); the point has a outside F_5
     "f25": {"p": 5, "modulus": [3, 0, 1], "roots": [[4, 1], [0, 3], [1, 4], [1, 3], [0, 4]]},
     "p61": {"p": 2**61 - 1, "modulus": [1], "roots": [[0], [1], [2]]},
@@ -101,6 +102,11 @@ CASES = [
         "g2", ["torsion-scan", "--max-order", "4"], 1,
         '{"points_scanned":133,"violations":[]}',
         "ff338e1de46d0382031c7d1eadd0984692d965ec7438d13b5a444d7b92c4dfa3",
+    ),
+    (  # g = 3: one add per point, 3P = 2P + P
+        "g3f11", ["torsion-scan", "--max-order", "6"], 1,
+        '{"points_scanned":123,"violations":[]}',
+        "8107bddb0034b0ecf8f9289da276453eb05ab8ae4278cfa014b60dc254c223e6",
     ),
 ]
 

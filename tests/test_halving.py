@@ -160,6 +160,17 @@ class TestHalve:
             halves = halve(pt, verify=True)
             assert len(halves) == 4**g
 
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_roots_of_f_stay_out_of_the_support(self, g):
+        """U(alpha_i) != 0 for every half on the acceptance grid: the
+        certificate implies it, so _half_failure does not check it."""
+        rng = random.Random(g)
+        for p in (5, 7, 11, 13):
+            curve = random_curve(make_ctx(p, g), g, rng)
+            for _ in range(3):
+                for h in halve(random_point(curve, rng), verify=True):
+                    assert not any(h.U(alpha).is_zero() for alpha in curve.roots)
+
 
 class TestRecoverTuple:
     def test_fixture_recovery(self, p10):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from jachalf import jacobian
 from jachalf.errors import (
     CurveMismatch,
     DuplicateRoot,
@@ -295,6 +296,44 @@ class TestDoubling:
         assert all(double(d).is_zero() for d in two_torsion)
         assert double(pool[0]) is pool[0]
 
+    @pytest.mark.parametrize(
+        "p,modulus,tower",
+        [(13, [1], False), (7, [1, 0, 1], False), (13, [1], True)],
+        ids=["F13", "F49", "F13-tower"],
+    )
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_tangent_on_every_point(self, p, modulus, tower, g):
+        """Every point class: the tangent branch of double against add."""
+        rng = random.Random(100 * p + g)
+        ctx = ctx_new(p, modulus)
+        curve = random_curve(ctx, g, rng)
+        while curve.f.coeffs[2].is_zero():  # the tangent rule subtracts f2 at g = 1
+            curve = random_curve(ctx, g, rng)
+        pts = affine_points(curve, field=ctx.tower if tower else ctx)
+        assert sum(pt.is_weierstrass() for pt in pts) == 2 * g + 1
+        for pt in pts:
+            d = to_class(pt)
+            twice = double(d)
+            assert twice.encode() == add(d, d).encode()
+            assert twice.is_zero() == pt.is_weierstrass()
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_tangent_at_large_prime(self, g):
+        rng = random.Random(g)
+        ctx = ctx_new(P61, [1])
+        curve = curve_new(ctx, [rng.randrange(P61) for _ in range(2 * g + 1)])
+        assert not curve.f.coeffs[2].is_zero()
+        n = 0
+        while n < 20:
+            x = ctx.from_int(rng.randrange(P61))
+            fx = curve.f(x)
+            if fx.is_square():
+                d = to_class(Point(curve, x, fx.sqrt()))
+                assert double(d).encode() == add(d, d).encode()
+                n += 1
+        for r in curve.roots:
+            assert double(to_class(Point(curve, r, ctx.zero()))).is_zero()
+
 
 class TestScalarMul:
     @pytest.mark.parametrize("g,p", [(1, 13), (2, 13), (3, 11)])
@@ -345,6 +384,25 @@ class TestTorsionScan:
         report = torsion_scan(curve, 6)
         assert report["points_scanned"] > 0
         assert report["violations"] == []
+
+    def test_violations_are_reported(self, monkeypatch):
+        """A double that returns -P for one point makes that point fail both
+        checks: 2P has deg U = 1, and 3P = 2P + P = 0."""
+        ctx = ctx_new(13, [1])
+        curve = curve_new(ctx, [0, 1, 2, 3, 4])
+        a = ctx.from_int(5)
+        b = curve.f(a).sqrt()
+        target = to_class(Point(curve, a, b))
+        true_double = double
+        monkeypatch.setattr(
+            jacobian, "double", lambda d: negate(d) if d == target else true_double(d)
+        )
+        report = torsion_scan(curve, 4)
+        where = [a.encode(), b.encode()]
+        assert report["violations"] == [
+            {"point": where, "kind": "double-left-theta", "deg_u": 1},
+            {"point": where, "kind": "small-order", "order": 3},
+        ]
 
     def test_field_too_large(self):
         ctx = ctx_new(1009, [1])
