@@ -9,11 +9,17 @@ s_i of the r_i, linear in the s_i when written in y = a - x:
     V(x) = [ sum_{j=1..g} s_{2j-1} y^{g-j+1} ] - b - s_1 * (-1)^g U(x)
 
 and the map is inverted by r_i = s_1 + (-1)^g V(alpha_i) / U(alpha_i).
-Each r_i lies in the base field or in its quadratic tower, and the
-arithmetic goes to the tower only where an operand lies there; rational
-results are detected afterwards coefficient-wise.  A half is verified by a
-certificate, f - v_D^2 = (x - a) U^2 with v_D = V + (-1)^g s_1 U, and not
-by the group law (see _half_failure).
+Each r_i lies in the base field or in its quadratic tower.  Per tuple the
+r_i, a and b meet in one field object F, the tower exactly when one of them
+lies there; rational results are detected afterwards coefficient-wise.
+
+mumford_from_tuple runs on the payload kernels of poly.py: the s_i come
+from the product recurrence, and the Horner in y = a - x multiplies a
+coefficient list by y as a scaled copy less a shifted one.  Polys and
+FieldElements are built only for the returned HalfClass.  A half is
+verified by one certificate, f - v_D^2 = (x - a) U^2 with
+v_D = V + (-1)^g s_1 U, checked on the same payloads, and not by the group
+law (see _half_failure); recover_tuple checks a caller's divisor with it.
 """
 
 from __future__ import annotations
@@ -25,11 +31,22 @@ from .errors import (
     NotAHalf,
     TowerExhausted,
 )
-from .poly import Poly, elementary_symmetric
+from .field import FieldElement, join
+from .poly import (
+    _payloads,
+    _scale,
+    _symmetric,
+    _trim,
+    from_payloads,
+    padd,
+    peval,
+    pneg,
+    psub,
+)
 from .jacobian import MumfordDivisor
 
 # halving refuses a curve of higher genus; `jachalf halve` at g = 7 and g = 8
-# took 6.8 s / 86 MiB and 31 s / 329 MiB on one Xeon core (Python 3.11)
+# took 2.9 s / 82 MiB and 13.8 s / 313 MiB on one Xeon core (Python 3.11)
 HALVE_GENUS_LIMIT = 7
 
 
@@ -64,9 +81,11 @@ class SqrtTuple:
 class HalfClass:
     """A half of P: the Mumford divisor plus its generating data.
 
-    Carries the sqrt tuple, the symmetric functions s_1..s_{2g+1}, and the
-    intermediate v_D = (-1)^g s_1 U + V of the formulas; the self-check does
-    not trust it and rebuilds v_D from V (see _half_failure).
+    Carries the sqrt tuple, the symmetric functions s_1..s_{2g+1} as
+    FieldElements, and the intermediate v_D = (-1)^g s_1 U + V of the
+    formulas as a Poly, all over the tuple's one field object, like U and V.
+    The certificate does not trust v_D and rebuilds it from V (see
+    _half_failure).
     """
 
     __slots__ = ("divisor", "tuple", "s", "v_d")
@@ -143,35 +162,50 @@ def sqrt_tuples(point):
     return out
 
 
+def _times_y(F, P, a):
+    """(a - x) P over F for a nonempty payload list P: a P minus P shifted
+    up one place.  The leading coefficient is -P[-1]."""
+    mul, sub = F.mul, F.sub
+    out = [mul(a, P[0])]
+    out += [sub(mul(a, c), prev) for prev, c in zip(P, P[1:])]
+    out.append(F.neg(P[-1]))
+    return out
+
+
 def mumford_from_tuple(tup, verify=True):
     """Mumford pair of the half determined by a sqrt tuple; with verify on,
-    its certificate is checked against s_1 of the tuple."""
-    curve = tup.curve
-    ctx = curve.ctx
-    a, b = tup.point.a, tup.point.b
-    s = elementary_symmetric(ctx, tup.r)
+    its certificate is checked against s_1 of the tuple.  Runs on payloads
+    over the join F of the fields of the r_i, a and b."""
+    curve, point, g = tup.curve, tup.point, tup.curve.g
+    F, (*r, a, b) = _payloads(curve.ctx, (*tup.r, point.a, point.b))
+    s = _symmetric(F, r)[1:]
+    add, sub, mul = F.add, F.sub, F.mul
 
     # Horner in y = a - x: w = y^g + sum s_{2j} y^(g-j), v = sum s_{2j-1} y^(g-j+1)
-    y = Poly(ctx, (a, -1))
-    w, v = Poly(ctx, (1,)), Poly.zero(ctx)
-    for j in range(1, curve.g + 1):
-        w = w * y + s[2 * j - 1]  # s_{2j}; s is 0-based
-        v = (v + s[2 * j - 2]) * y  # s_{2j-1}
-    v_d = v - b
-    u_poly = -w if curve.g % 2 else w
-    v_poly = v_d - w * s[0]
+    w, v = [F._one], [F._zero]
+    for j in range(g):
+        w = _times_y(F, w, a)
+        w[0] = add(w[0], s[2 * j + 1])  # s_{2j}; s is 0-based
+        v[0] = add(v[0], s[2 * j])  # s_{2j-1}
+        v = _times_y(F, v, a)
+    v[0] = sub(v[0], b)  # v_D
+    s1 = s[0]
+    U = pneg(F, w) if g % 2 else w
+    V = _trim([sub(x, mul(s1, y)) for x, y in zip(v, w)], F._zero)
 
-    divisor = MumfordDivisor(curve, u_poly, v_poly, validate=False)
     if verify:
-        reason = _half_failure(divisor, tup.point, s[0])
+        f = curve.f.pc if curve.f.field is F else [F.lift(curve.f.field, c) for c in curve.f.pc]
+        reason = _half_failure(F, g, f, U, V, a, b, s1)
         if reason:
             raise InternalInvariantViolation(f"formula output is not a half: {reason}")
-    return HalfClass(divisor, tup, s, v_d)
+    divisor = MumfordDivisor(curve, from_payloads(F, U), from_payloads(F, V), validate=False)
+    return HalfClass(divisor, tup, tuple(FieldElement(F, e) for e in s), from_payloads(F, v))
 
 
-def _half_failure(divisor, point, s1):
+def _half_failure(F, g, f, U, V, a, b, s1):
     """Why (U, V) is not the half of P = (a, b) whose tuple has first
-    symmetric function s1, or None when it is.
+    symmetric function s1, or None when it is.  All are payloads over F:
+    U, V and f trimmed lists, a, b and s1 single payloads.
 
     v_D = V + (-1)^g s1 U is built from the divisor's own V.  The function
     y - v_D(x) has divisor 2D + iota(P) - (2g+1)(infinity) exactly when
@@ -182,15 +216,14 @@ def _half_failure(divisor, point, s1):
     with U(alpha_i) != 0 (see below).  For b = 0, a is a root, so P lies
     outside the support.
     """
-    curve = divisor.curve
-    U, V, g = divisor.U, divisor.V, curve.g
-    if not U.is_monic() or U.degree() != g or V.degree() >= g:
+    if len(U) != g + 1 or U[-1] != F._one or len(V) > g:
         return f"need U monic of degree g = {g} and deg V < g"
-    v_d = V - U * s1 if g % 2 else V + U * s1
-    a = point.a
-    if v_d(a) != -point.b:
+    s1U = _scale(F, U, s1)
+    v_d = psub(F, V, s1U) if g % 2 else padd(F, V, s1U)
+    if peval(F, v_d, a) != F.neg(b):
         return "v_D(a) != -b"
-    if curve.f - v_d * v_d != Poly(curve.ctx, (-a, 1)) * U * U:
+    # the identity as v_D^2 - f = (a - x) U^2
+    if psub(F, F.polymul(v_d, v_d), f) != _times_y(F, F.polymul(U, U), a):
         return "f - v_D^2 != (x - a) U^2"
     # No root alpha of f needs U(alpha) != 0 checked: U(alpha) = 0 would give
     # v_D(alpha)^2 = f(alpha) = 0, so (x - alpha)^2 would divide both v_D^2
@@ -236,7 +269,10 @@ def recover_tuple(d, point=None, s1=None):
 
     curve = divisor.curve
     curve.check_same(point.curve)
-    reason = _half_failure(divisor, point, s1)
+    F = join(join(curve.ctx, divisor.U.field), divisor.V.field)
+    F, (a, b, s1p) = _payloads(F, (point.a, point.b, s1))
+    U, V, f = ([F.lift(P.field, c) for c in P.pc] for P in (divisor.U, divisor.V, curve.f))
+    reason = _half_failure(F, curve.g, f, U, V, a, b, s1p)
     if reason:
         raise NotAHalf(f"divisor is not the half of the point with this s_1: {reason}")
 

@@ -2,22 +2,22 @@
 
 The arithmetic lives in module-level kernels on lists of coefficient
 payloads, low-to-high, with no trailing zeros: padd, psub, pneg, pdivmod,
-pmonic and pxgcd, each taking the field object first, and the field's own
-F.polymul for products.  A payload is an int for k = 1, a k-tuple
-otherwise, and a pair of base payloads in the tower (see field.py).  For
-k = 1, F.polymul and the division under pdivmod sum raw int products and
-reduce mod p once per coefficient; division and monic skip the inversion
-when the leading coefficient is 1.
+pmonic, peval and pxgcd, each taking the field object first, and the
+field's own F.polymul for products.  A payload is an int for k = 1, a
+k-tuple otherwise, and a pair of base payloads in the tower (see field.py).
+For k = 1, F.polymul and the division under pdivmod sum raw int products
+and reduce mod p once per coefficient; division and monic skip the
+inversion when the leading coefficient is 1.
 
 A Poly holds its field object and a tuple of coefficient payloads; the zero
 polynomial has an empty tuple and degree -1.  Its operators, xgcd and gcd
 are thin wrappers around the kernels, from_payloads(F, kernel(...)), and
-code that chains many operations (Cantor composition in jacobian.add) runs
-the kernels directly and builds a Poly only for its result.  ``coeffs``
-gives the coefficients as FieldElements.  Operands over different field
-objects meet in field.join, and equality and hashing go by value.  Degrees
-stay tiny here (at most 2g+1), so everything is plain schoolbook
-arithmetic.
+code that chains many operations (Cantor composition in jacobian.add, the
+halving formulas and their certificate) runs the kernels directly and
+builds a Poly only for its result.  ``coeffs`` gives the coefficients as
+FieldElements.  Operands over different field objects meet in field.join,
+and equality and hashing go by value.  Degrees stay tiny here (at most
+2g+1), so everything is plain schoolbook arithmetic.
 """
 
 from __future__ import annotations
@@ -93,6 +93,15 @@ def pmonic(F, a):
     if not a or a[-1] == F._one:
         return a
     return _scale(F, a, F.inv(a[-1]))
+
+
+def peval(F, a, x):
+    """The value of a at the payload x, by Horner."""
+    add, mul = F.add, F.mul
+    acc = F._zero
+    for c in reversed(a):
+        acc = add(mul(acc, x), c)
+    return acc
 
 
 def pxgcd(F, a, b):
@@ -252,12 +261,7 @@ class Poly:
         F, a, b = self._pair(x0)
         if F is None or isinstance(x0, Poly):
             raise TypeError(f"cannot evaluate a polynomial at {x0!r}")
-        x = b[0] if b else F._zero
-        add, mul = F.add, F.mul
-        acc = F._zero
-        for c in reversed(a):
-            acc = add(mul(acc, x), c)
-        return FieldElement(F, acc)
+        return FieldElement(F, peval(F, a, b[0] if b else F._zero))
 
     def compose(self, inner):
         acc = Poly.zero(self.field)

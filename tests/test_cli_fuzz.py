@@ -14,6 +14,7 @@ import io
 import json
 import math
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -194,6 +195,33 @@ def test_every_exit_code_is_in_the_table(workdir, data):
     assert code in TABLE_CODES and code != 1, (argv, curve, err)
     if code:
         assert err.startswith("error:"), err
+
+
+@pytest.mark.parametrize("g", [8, 12, 18])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_halving_above_the_genus_bound_is_exit_2(workdir, g, data):
+    """A curve of genus g > 7 over F_37 and a point on it: `halve` is refused
+    with exit 2 and empty stdout before any of the 4^g halves is built."""
+    p, n = 37, 2 * g + 1
+    roots = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n, unique=True))
+    on_curve = [
+        f"{a},{b}"
+        for a in range(p)
+        for b in range(p)
+        if b * b % p == math.prod(a - r for r in roots) % p
+    ]
+    curve_file = workdir / f"g{g}.json"
+    curve_file.write_text(json.dumps({"p": p, "modulus": [1], "roots": [[r] for r in roots]}))
+    argv = ["halve", f"--curve={curve_file}", f"--point={data.draw(st.sampled_from(on_curve))}"]
+    if data.draw(st.booleans()):
+        argv.append("--rational-only")
+
+    start = time.perf_counter()
+    code, out, err = run(argv)
+    assert time.perf_counter() - start < 1, argv
+    assert (code, out) == (2, ""), (argv, err)
+    assert err.startswith("error:") and f"genus {g}" in err
 
 
 def test_every_error_class_declares_a_tabled_code():

@@ -5,13 +5,37 @@ import time
 
 import pytest
 
-from jachalf.errors import InfinityInput, InternalInvariantViolation, NotAHalf
+from jachalf.errors import (
+    GenusTooLarge,
+    InfinityInput,
+    InternalInvariantViolation,
+    NotAHalf,
+    TowerExhausted,
+)
 from jachalf.field import ctx_new
 from jachalf.halving import SqrtTuple, halve, mumford_from_tuple, recover_tuple, sqrt_tuples
 from jachalf.jacobian import MumfordDivisor, Point, add, curve_new, double, negate, to_class
-from jachalf.poly import Poly, from_roots
+from jachalf.poly import Poly, elementary_symmetric, from_roots
 
-from helpers import make_ctx, random_curve, random_point
+from helpers import affine_points, make_ctx, random_curve, random_point
+
+P61 = 2**61 - 1
+
+
+def _reference_half(tup):
+    """(U, V, v_D, s) of a tuple by the closed formulas on Poly objects: the
+    Horner in y = a - x with Poly operators, and elementary_symmetric."""
+    curve = tup.curve
+    ctx = curve.ctx
+    a, b = tup.point.a, tup.point.b
+    s = elementary_symmetric(ctx, tup.r)
+    y = Poly(ctx, (a, -1))
+    w, v = Poly(ctx, (1,)), Poly.zero(ctx)
+    for j in range(1, curve.g + 1):
+        w = w * y + s[2 * j - 1]  # s_{2j}
+        v = (v + s[2 * j - 2]) * y  # s_{2j-1}
+    v_d = v - b
+    return (-w if curve.g % 2 else w), v_d - w * s[0], v_d, s
 
 
 def _g2_point():
@@ -84,6 +108,78 @@ class TestMumfordFromTuple:
                 mumford_from_tuple(SqrtTuple(pt.curve, pt, r, t.index), verify=True)
 
 
+class TestAgainstPolyReference:
+    """mumford_from_tuple runs on payload lists; every output must equal the
+    Poly-level formulas in value, in encoding and in its field object."""
+
+    @staticmethod
+    def _check_point(point):
+        for t in sqrt_tuples(point):
+            half = mumford_from_tuple(t)
+            U, V, v_d, s = _reference_half(t)
+            for got, want in ((half.U, U), (half.V, V), (half.v_d, v_d), *zip(half.s, s)):
+                assert got == want
+                assert got.encode() == want.encode()
+                assert got.field is want.field
+            assert len(half.s) == len(s)
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_grid(self, g, p):
+        """F_p, or F_{p^2} (k = 2) when F_p has too few elements."""
+        rng = random.Random(100 * g + p)
+        curve = random_curve(make_ctx(p, g), g, rng)
+        for _ in range(4):
+            self._check_point(random_point(curve, rng))
+
+    def test_cubic_extension(self):
+        ctx = ctx_new(3, [1, 2, 0, 1])  # F_27
+        curve = curve_new(ctx, list(ctx.elements())[3:8])
+        for point in affine_points(curve)[:6]:
+            self._check_point(point)
+
+    def test_roots_in_the_tower(self):
+        """Base points of F_25 with some a - alpha_i a non-square: the r_i
+        and every half lie in the tower."""
+        ctx = ctx_new(5, [3, 0, 1])
+        curve = curve_new(ctx, [ctx.decode(r) for r in ([4, 1], [0, 3], [1, 4], [1, 3], [0, 4])])
+        points = [
+            pt for pt in affine_points(curve)
+            if not all((pt.a - alpha).is_square() for alpha in curve.roots)
+        ]
+        assert len(points) >= 4
+        for point in points[:8]:
+            self._check_point(point)
+            assert mumford_from_tuple(sqrt_tuples(point)[0]).U.field is ctx.tower
+
+    def test_points_with_tower_coordinates(self):
+        ctx = ctx_new(11, [1])
+        curve = curve_new(ctx, [0, 1, 2])
+        checked = 0
+        for point in affine_points(curve, field=ctx.tower):
+            if point.a.in_prime_field():
+                continue
+            try:
+                self._check_point(point)
+            except TowerExhausted:
+                continue
+            checked += 1
+        assert checked == 16
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_large_prime(self, g):
+        ctx = ctx_new(P61, [1])
+        curve = curve_new(ctx, range(2 * g + 1))
+        rng = random.Random(g)
+        points = 0
+        while points < 10:
+            a = ctx.from_int(rng.randrange(P61))
+            fa = curve.f(a)
+            if fa.is_square():
+                self._check_point(Point(curve, a, fa.sqrt()))
+                points += 1
+
+
 class TestHalve:
     def test_order_four_example(self, p10):
         halves = halve(p10)
@@ -99,6 +195,16 @@ class TestHalve:
         halves = halve(p, verify=True)
         assert len(halves) == 16
         assert len({h.divisor.key() for h in halves}) == 16
+
+    def test_genus_above_the_bound(self):
+        """g = 8 is refused before any square root is taken."""
+        ctx = ctx_new(37, [1])
+        curve = curve_new(ctx, range(17))
+        for point in (Point(curve, 0, 0), Point(curve, 20, curve.f(ctx.from_int(20)).sqrt())):
+            with pytest.raises(GenusTooLarge, match="genus 8"):
+                sqrt_tuples(point)
+            with pytest.raises(GenusTooLarge, match="genus 8"):
+                halve(point)
 
     def test_halve_infinity(self, curve_g1_f7):
         with pytest.raises(InfinityInput):

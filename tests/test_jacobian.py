@@ -10,10 +10,11 @@ from jachalf.errors import (
     DuplicateRoot,
     EvenDegree,
     FieldTooLarge,
+    InternalInvariantViolation,
     InvalidDivisor,
     NotOnCurve,
 )
-from jachalf.field import ctx_new
+from jachalf.field import FieldElement, ctx_new
 from jachalf.jacobian import (
     MumfordDivisor,
     Point,
@@ -403,6 +404,14 @@ class TestTorsionScan:
             {"point": where, "kind": "double-left-theta", "deg_u": 1},
             {"point": where, "kind": "small-order", "order": 3},
         ]
+
+    def test_wrong_root_is_refused(self, monkeypatch):
+        """No Point checks b^2 = f(a) in the scan; the scan checks its root of
+        f(x) itself, once per x-value."""
+        curve = curve_new(ctx_new(13, [1]), [0, 1, 2, 3, 4])
+        monkeypatch.setattr(FieldElement, "sqrt", lambda x: x + 1)
+        with pytest.raises(InternalInvariantViolation, match="sqrt"):
+            torsion_scan(curve, 4)
 
     def test_field_too_large(self):
         ctx = ctx_new(1009, [1])
