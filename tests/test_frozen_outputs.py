@@ -84,6 +84,18 @@ CASES = [
         '"V":[[737214531971929565],[488423407165637983],[195430758343620981]]}',
         "d3e92ea4b4f9f53ef015e8f6173b2ba529daf11fc2e80aefcfa6b86caf1f64a9",
     ),
+    (  # g = 2 over F_11: multiples of a class with a Weierstrass point in its support
+        "g2", ["group", "mul", "--scalar", "1234567890123456789", "--divisor", "g2-weierstrass"],
+        1,
+        '{"U":[[9],[7],[1]],"V":[[4],[2]]}',
+        "9280c09afbd3b6e1b1b94b4bbbd46f7d6d81133b1eda042fda4d9c0a4cdf620c",
+    ),
+    (  # g = 1 over F_7, by the chord and tangent rules
+        "g1", ["group", "mul", "--point", "5,1", "--scalar", "9876543210987654323"],
+        1,
+        '{"U":[[2],[1]],"V":[[6]]}',
+        "ad498bb6147670266f9cc891a0128fb4269f4afe9685d98a1706320f914dc696",
+    ),
     (
         "g2", ["group", "double", "--divisor", "g2-weierstrass"], 1,
         '{"U":[[3],[10],[1]],"V":[[2],[4]]}',

@@ -14,7 +14,7 @@ from jachalf.errors import (
     InvalidDivisor,
     NotOnCurve,
 )
-from jachalf.field import FieldElement, ctx_new
+from jachalf.field import TowerField, ctx_new
 from jachalf.jacobian import (
     MumfordDivisor,
     Point,
@@ -27,6 +27,7 @@ from jachalf.jacobian import (
     torsion_scan,
     zero_class,
 )
+from jachalf.halving import halve
 from jachalf.poly import Poly, gcd
 
 from helpers import affine_points, make_ctx, random_curve, random_point
@@ -273,6 +274,124 @@ def _ladder(n, d):
     return acc
 
 
+def _test_curve(p, g, rng, n_points, half):
+    """A random curve over F_p with f2 != 0, which the g = 1 chord and
+    tangent rules subtract, n_points points with distinct x over F_p, and,
+    if half is set, a point with a half over F_p."""
+    ctx = ctx_new(p, [1])
+    while True:
+        if p == P61:
+            curve = curve_new(ctx, [rng.randrange(P61) for _ in range(2 * g + 1)])
+        else:
+            curve = random_curve(ctx, g, rng)
+        if curve.f.coeffs[2].is_zero() or len(_points(curve, rng)) < n_points:
+            continue
+        if not half or _half_of_a_point(curve, rng) is not None:
+            return curve
+
+
+def _points(curve, rng):
+    """Non-Weierstrass points over curve.ctx with distinct x, in random order
+    and of random sign: all of them for a small field, else 40."""
+    ctx = curve.ctx
+    xs = [rng.randrange(ctx.p) for _ in range(80)] if ctx.p == P61 else rng.sample(range(ctx.p), ctx.p)
+    out = []
+    for x in dict.fromkeys(xs):
+        fx = curve.f(ctx.from_int(x))
+        if not fx.is_zero() and fx.is_square():
+            out.append(Point(curve, x, fx.sqrt() * rng.choice((1, -1))))
+    return out[:40]
+
+
+def _point_classes(curve, rng, n):
+    return [to_class(pt) for pt in _points(curve, rng)[:n]]
+
+
+def _half_of_a_point(curve, rng):
+    """A class over curve.ctx whose double is a point class, or None."""
+    ctx = curve.ctx
+    for pt in _points(curve, rng):
+        for h in halve(pt):
+            if h.U.field is ctx and h.V.field is ctx:
+                return h.divisor
+    return None
+
+
+def _fallback_classes(curve, rng):
+    """(class, why, forced) over curve.ctx: classes built to force the
+    closed-form double to Cantor, and others."""
+    ctx, g = curve.ctx, curve.g
+    P, Q, R = _point_classes(curve, rng, 3)
+    W = [to_class(Point(curve, r, ctx.zero())) for r in curve.roots]
+    out = [(zero_class(curve), "zero"), (P, "deg U = 1"), (W[0], "2-torsion")]
+    if g == 1:
+        return [(d, why, False) for d, why in out]
+    return [(d, why, True) for d, why in out] + [
+        (add(W[0], W[1]), "2-torsion", True),
+        (add(W[2], P), "a Weierstrass point in the support", True),
+        (_half_of_a_point(curve, rng), "a double of degree 1 (s1 = 0)", True),
+        (add(P, Q), "generic", False),
+        (add(Q, negate(R)), "generic", False),
+    ]
+
+
+def _fallback_pairs(curve, rng):
+    """(D1, D2, why, forced) over curve.ctx: pairs built to force the
+    closed-form add to Cantor, and others."""
+    P, Q, R, S, T = _point_classes(curve, rng, 5)
+    zero = zero_class(curve)
+    W = [to_class(Point(curve, r, curve.ctx.zero())) for r in curve.roots]
+    if curve.g == 1:
+        pairs = [(P, Q), (P, P), (P, negate(P)), (P, zero), (zero, P), (W[0], W[0]), (W[0], P)]
+        return [(d1, d2, "chord and tangent", False) for d1, d2 in pairs]
+    PQ, RS = add(P, Q), add(R, S)
+    return [
+        (PQ, RS, "generic", False),
+        (PQ, add(W[0], W[1]), "2-torsion", False),
+        (add(W[2], P), RS, "a Weierstrass point in the support", False),
+        (PQ, zero, "zero", True),
+        (P, RS, "deg U = 1", True),
+        (PQ, add(P, R), "U1 and U2 share a root", True),
+        (PQ, add(negate(P), R), "U1 and U2 share a root, V1 != V2 there", True),
+        (PQ, PQ, "D1 = D2", True),
+        (PQ, negate(PQ), "D1 = -D2", True),
+        (PQ, add(T, negate(PQ)), "a sum of degree 1 (s1 = 0)", True),
+    ]
+
+
+def _needs_cantor(ds, total):
+    """Whether the g = 2 closed forms hand the sum or double of ds, equal
+    to total, to Cantor: an operand with deg U < 2, r = 0 (U1 and U2, or U
+    and 2V, share a root) or deg U < 2 for the total (s1 = 0)."""
+    U1, U2 = ds[0].U, ds[-1].U
+    shared = gcd(U1, U2 if len(ds) == 2 else ds[0].V + ds[0].V)
+    return min(U1.degree(), U2.degree(), total.U.degree()) < 2 or shared.degree() > 0
+
+
+def _law_step(curve, op, *ds):
+    """One add or double of scalar_mul's closed forms, as a class."""
+    F = curve.ctx
+    law = jacobian._chord_tangent if curve.g == 1 else jacobian._genus2
+    state, pair, double, add, _ = law(F, curve.f.pc)
+    step = add if op == "add" else double
+    out = step(*(state(d.U.pc, d.V.pc) for d in ds))
+    return jacobian._divisor(curve, F, *pair(out))
+
+
+def _count_cantor(monkeypatch):
+    """Counts of the closed forms' fallbacks to Cantor's add and double."""
+    calls = {"add": 0, "double": 0}
+    for name in calls:
+        real = getattr(jacobian, f"_cantor_{name}")
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(jacobian, f"_cantor_{name}", counted)
+    return calls
+
+
 class TestDoubling:
     @pytest.mark.parametrize(
         "p,modulus,tower",
@@ -366,6 +485,78 @@ class TestScalarMul:
                 for n in (rng.getrandbits(61), -rng.getrandbits(61), 10**20 + 7):
                     assert scalar_mul(n, d).encode() == _ladder(n, d).encode()
 
+    @pytest.mark.parametrize("p", [13, P61], ids=["F13", "F_p61"])
+    @pytest.mark.parametrize("g", [1, 2])
+    def test_closed_forms_match_binary_ladder(self, g, p):
+        """The closed-form walk for g = 1, 2 over F_p against the binary
+        ladder on the generic add, by value, encoding and field object, for
+        classes that send its steps to Cantor.  Classes over the tower or
+        over a second context object for F_p walk on add itself; the
+        ladder, which starts from the zero class over the curve's context,
+        moves the latter to that context, so those compare by encoding."""
+        rng = random.Random(10 * p + g)
+        curve = _test_curve(p, g, rng, 3, True)
+        ctx = curve.ctx
+        pool = [d for d, _, _ in _fallback_classes(curve, rng)]
+        other = ctx_new(p, [1])
+        pool += [
+            MumfordDivisor(curve, Poly(F, d.U.coeffs), Poly(F, d.V.coeffs))
+            for F in (ctx.tower, other)
+            for d in pool[-2:]
+        ]
+        scalars = [rng.getrandbits(61) for _ in range(3)] + [2**61 - 1, 10**20 + 7]
+        if p == 13:
+            scalars += list(range(1, 40))
+        for d in pool:
+            for n in scalars + [-n for n in scalars[:3]]:
+                fast, slow = scalar_mul(n, d), _ladder(n, d)
+                assert fast == slow and fast.encode() == slow.encode()
+                if d.U.field is not other:
+                    assert fast.U.field is slow.U.field and fast.V.field is slow.V.field
+
+    @pytest.mark.parametrize("p", [13, P61], ids=["F13", "F_p61"])
+    @pytest.mark.parametrize("g", [1, 2])
+    def test_closed_form_steps_take_every_fallback(self, g, p, monkeypatch):
+        """Each add and double of the closed forms against Cantor's add, on
+        the classes and pairs that force each fallback to Cantor: deg U < 2,
+        2-torsion, a Weierstrass point in the support, U1 and U2 sharing a
+        root, a sum or a double of degree 1 (s1 = 0).  g = 1 has none."""
+        rng = random.Random(20 * p + g)
+        curve = _test_curve(p, g, rng, 5, False)
+        steps = [("add", (d1, d2), *rest) for d1, d2, *rest in _fallback_pairs(curve, rng)]
+        curve = _test_curve(p, g, rng, 3, True)
+        steps += [("double", (d,), *rest) for d, *rest in _fallback_classes(curve, rng)]
+        calls = _count_cantor(monkeypatch)
+        closed = 0
+        for op, ds, why, forced in steps:
+            want = add(ds[0], ds[-1])
+            by_cantor = g == 2 and _needs_cantor(ds, want)
+            assert by_cantor or not forced, why
+            calls.update(add=0, double=0)
+            assert _law_step(ds[0].curve, op, *ds).encode() == want.encode(), why
+            assert (sum(calls.values()) > 0) == by_cantor, why
+            closed += not by_cantor
+        assert closed >= 2
+
+    def test_genus2_steps_at_large_prime(self, monkeypatch):
+        """The g = 2 add and double in closed form against Cantor's add on
+        600 random pairs of classes P + Q and R + S, four distinct points,
+        at p = 2^61 - 1, with no step taken by Cantor."""
+        rng = random.Random(2)
+        ctx = ctx_new(P61, [1])
+        curve = curve_new(ctx, [rng.randrange(P61) for _ in range(5)])
+        pts = _point_classes(curve, rng, 40)
+        pairs = []
+        for _ in range(600):
+            P, Q, R, S = rng.sample(pts, 4)
+            d1, d2 = add(P, Q), add(R, S)
+            pairs.append((d1, d2, add(d1, d2), add(d1, d1)))
+        calls = _count_cantor(monkeypatch)
+        for d1, d2, total, twice in pairs:
+            assert _law_step(curve, "add", d1, d2).encode() == total.encode()
+            assert _law_step(curve, "double", d1).encode() == twice.encode()
+        assert calls == {"add": 0, "double": 0}
+
     @pytest.mark.parametrize("n", [2.9, "3", True, None])
     def test_non_integer_scalar_is_refused(self, p42, n):
         with pytest.raises(TypeError):
@@ -407,9 +598,10 @@ class TestTorsionScan:
 
     def test_wrong_root_is_refused(self, monkeypatch):
         """No Point checks b^2 = f(a) in the scan; the scan checks its root of
-        f(x) itself, once per x-value."""
+        f(x) itself, once per x-value.  The scan roots payloads with the
+        tower's sqrt, patched here to return f(x) + 1."""
         curve = curve_new(ctx_new(13, [1]), [0, 1, 2, 3, 4])
-        monkeypatch.setattr(FieldElement, "sqrt", lambda x: x + 1)
+        monkeypatch.setattr(TowerField, "sqrt", lambda T, a: T.add(a, T._one))
         with pytest.raises(InternalInvariantViolation, match="sqrt"):
             torsion_scan(curve, 4)
 
