@@ -3,7 +3,7 @@
 Each class declares the exit code the CLI gives it: 2 for malformed or
 out-of-scope input, 3 for a point off the curve, an invalid divisor or a
 divisor that is not the claimed half, 4 for the point at infinity where an
-affine point is needed, 5 for a field too large to scan, and the default 1
+affine point is needed, 5 for a torsion scan too large to run, and the default 1
 for an error that only a library bug can raise.
 """
 
@@ -83,7 +83,8 @@ class InvalidDivisor(JachalfError):
 
 
 class FieldTooLarge(JachalfError):
-    """The enumeration field exceeds the desk-scale scan bound."""
+    """A torsion scan's work estimate, from the size of the tower field, the
+    genus and the max order, exceeds the desk-scale scan bound."""
 
     exit_code = 5
 

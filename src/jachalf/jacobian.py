@@ -12,23 +12,28 @@ composed U, and a first reduction step that never forms V^2; when
 gcd(U, 2V) != 1 (a Weierstrass point in the support) it is add(d, d).
 add and double are thin wrappers: they lift their operands to payloads
 and run the Cantor cores _cantor_add and _cantor_double.
-scalar_mul walks a width-4 signed-digit (NAF) expansion, odd digits in
-(-8, 8), taking negative digits from negate, which is free because the
-hyperelliptic involution acts as -1 on the Jacobian.  Over a prime field
-(k = 1), with D and f over the curve's own context, g = 1 and g = 2 walk it
-on plain int tuples in closed form, one inversion per step: the
+scalar_mul and torsion_scan walk on reduced payload pairs only, with f
+lifted once per call, through a group law (state, pair, double, add,
+negate) on payloads.  scalar_mul picks the law: over a prime field
+(k = 1), with D and f over the curve's own context, g = 1 and g = 2 take
+closed forms on plain int tuples, one inversion per step: the
 chord-and-tangent rule on affine (x, y) for g = 1, and for g = 2 Harley's
 composition with one reduction step in Lange's affine formulas ("Formulae
 for arithmetic on genus 2 hyperelliptic curves", AAECC 15, 2005).  A step
-the closed forms do not cover (deg U < 2, a resultant r = 0, or s1 = 0)
-is one step of the Cantor cores.  Every other curve and field walks on
-double, add and negate.  add itself stays pure Cantor.  torsion_scan doubles
-each point by the tangent and tests nP = 0 as ceil(n/2) P = -floor(n/2) P,
-so it builds only half of the multiples.  Halving verifies its output by a
-certificate, not by this group law (see halving._half_failure); the
-acceptance tests check the halves with the generic add, so the oracle they
-use stays independent of both the halving formulas and the doubling
-formulas.
+the closed forms do not cover (deg U < 2, a resultant r = 0, or s1 = 0) is
+one step of the Cantor cores.  Every other curve and field, and
+torsion_scan over the tower, take _cantor_law: the Cantor cores on payload
+pairs.
+scalar_mul walks a width-4 signed-digit (NAF) expansion, odd digits in
+(-8, 8), taking negative digits from the law's negate, which is free
+because the hyperelliptic involution acts as -1 on the Jacobian.
+torsion_scan doubles each point by the tangent and tests nP = 0 as
+ceil(n/2) P = -floor(n/2) P, so it builds only half of the multiples.
+Neither calls the public add, double or negate, and add itself stays pure
+Cantor.  Halving verifies its output by a certificate, not by this group
+law (see halving._half_failure); the acceptance tests check the halves with
+the generic add, so the oracle they use stays independent of both the
+halving formulas and the doubling formulas.
 """
 
 from __future__ import annotations
@@ -61,7 +66,8 @@ from .poly import (
     pxgcd,
 )
 
-# x-candidates enumerated by torsion_scan; q_tower above this refuses to run
+# torsion_scan refuses a scan whose work estimate, |tower| * g * max order / 2,
+# exceeds this
 SCAN_LIMIT = 10**6
 
 
@@ -273,7 +279,8 @@ def _cantor_add(g, F, f, U1, V1, U2, V2):
 
 
 def _reduce(g, F, f, U3, V3):
-    """Cantor's reduction of a composed pair with deg V3 < deg U3, over F."""
+    """Cantor's reduction of a composed pair with deg V3 < deg U3, over F,
+    as a pair of payload tuples."""
     times, divide = F.polymul, partial(pdivmod, F)
     while len(U3) > g + 1:
         U3n = pmonic(F, divide(psub(F, f, times(V3, V3)), U3)[0])
@@ -281,7 +288,7 @@ def _reduce(g, F, f, U3, V3):
         U3 = U3n
     if len(U3) == 1:
         return (F._one,), ()
-    return pmonic(F, U3), V3
+    return tuple(pmonic(F, U3)), tuple(V3)
 
 
 def negate(d):
@@ -355,6 +362,31 @@ def _cantor_double(g, F, f, U, V):
     return _reduce(g, F, f, U3, V3)
 
 
+def _cantor_law(g, F, f):
+    """Cantor's group law over F on reduced payload pairs (U, V), as a
+    (state, pair, double, add, negate) tuple like _chord_tangent's; state
+    and pair are the identity.  The steps look up _cantor_add and
+    _cantor_double at call time, so a patched core is the one they run."""
+
+    def state(U, V):
+        return U, V
+
+    def pair(D):
+        return D
+
+    def double(D):
+        return _cantor_double(g, F, f, *D)
+
+    def add(D1, D2):
+        return _cantor_add(g, F, f, *D1, *D2)
+
+    def negate(D):
+        U, V = D
+        return U, tuple(pneg(F, V))
+
+    return state, pair, double, add, negate
+
+
 def _chord_tangent(F, f):
     """The g = 1 group law over F_p on int payloads, in affine coordinates.
 
@@ -415,10 +447,12 @@ def _genus2(F, f):
     s = ((f - V^2)/U)/(2V) mod U, r = res(U, 2V).  Both compute r s and
     invert r s1 once.  When r = 0 (U1, U2 share a root, or a Weierstrass
     point lies in the support of D) or s1 = 0 (deg U' < 2), and whenever
-    an operand has deg U < 2, the step is _cantor_add or _cantor_double.
+    an operand has deg U < 2, the step is one of _cantor_law's, which also
+    negates the pairs.
     """
     p = F.p
     _, _, f2, f3, f4, _ = f
+    _, _, cantor_double, cantor_add, cantor_negate = _cantor_law(2, F, f)
 
     def state(U, V):
         if len(U) != 3:
@@ -460,7 +494,7 @@ def _genus2(F, f):
             if r and s1:
                 s0 = (a - u10 * b) % p
                 return finish(u21, u20, v21, v20, u11 + u21, u10 + u20 + u11 * u21, r, s1, s0)
-        return state(*_cantor_add(2, F, f, *pair(P), *pair(Q)))
+        return state(*cantor_add(pair(P), pair(Q)))
 
     def double(P):
         if len(P) == 4:
@@ -479,13 +513,12 @@ def _genus2(F, f):
             if r and s1:
                 s0 = (a - u0 * b) % p
                 return finish(u1, u0, v1, v0, 2 * u1, 2 * u0 + u1 * u1, r, s1, s0)
-        return state(*_cantor_double(2, F, f, *pair(P)))
+        return state(*cantor_double(pair(P)))
 
     def negate(D):
         if len(D) == 4:
             return D[0], D[1], -D[2] % p, -D[3] % p
-        U, V = D
-        return U, pneg(F, V)
+        return cantor_negate(D)
 
     return state, pair, double, add, negate
 
@@ -506,9 +539,11 @@ def _naf4(n):
 
 
 def _walk(n, d, double, add, negate):
-    """n d for n > 0 by the width-4 NAF, on any representation of the class
-    d that double, add and negate take.  Only the odd multiples d, 3d, ...
-    up to the largest digit used are built."""
+    """n d for n != 0 by the width-4 NAF, on any representation of the class
+    d that double, add and negate take; n < 0 walks -n from -d.  Only the
+    odd multiples d, 3d, ... up to the largest digit used are built."""
+    if n < 0:
+        n, d = -n, negate(d)
     digits = _naf4(n)
     odd = [d]  # odd[i] = (2i + 1) d
     top = max(map(abs, digits))
@@ -528,23 +563,24 @@ def scalar_mul(n, d):
     """nD by a width-4 signed window: about log2(n) doublings and log2(n)/5
     additions, negative digits taking the negation, which is free.
 
-    When D and f lie over the curve's own context and it is a prime field
-    (k = 1), g = 1 and g = 2 walk the window on plain int tuples with the
-    closed forms of _chord_tangent and _genus2, and only the result is
-    built as a MumfordDivisor; it equals Cantor's in value, encoding and
-    field object.  Everything else walks on double, add and negate.
+    D and f are lifted once to F, the join of their field objects, and the
+    window is walked on payloads with one law: when F is the curve's own
+    context and a prime field (k = 1), the closed forms of _chord_tangent
+    (g = 1) and _genus2 (g = 2), and otherwise _cantor_law.  Only the result
+    is built as a MumfordDivisor.  It lies over F for every n, unless it is
+    the zero class, which is zero_class(curve); its value and encoding are
+    Cantor's.
     """
     n = _int_value(n, "scalar")
-    if n < 0:
-        n, d = -n, negate(d)
-    curve = d.curve
+    curve, g = d.curve, d.curve.g
     if n == 0:
         return zero_class(curve)
     F, (U, V, f) = common_payloads(d.U, d.V, curve.f)
-    if F is curve.ctx and F.k == 1 and curve.g <= 2:
-        state, pair, *law = (_chord_tangent if curve.g == 1 else _genus2)(F, f)
-        return _divisor(curve, F, *pair(_walk(n, state(U, V), *law)))
-    return _walk(n, d, double, add, negate)
+    if F is curve.ctx and F.k == 1 and g <= 2:
+        state, pair, *law = (_chord_tangent if g == 1 else _genus2)(F, f)
+    else:
+        state, pair, *law = _cantor_law(g, F, f)
+    return _divisor(curve, F, *pair(_walk(n, state(U, V), *law)))
 
 
 def torsion_scan(curve, n_max):
@@ -553,29 +589,33 @@ def torsion_scan(curve, n_max):
     For every point P found: the reduced representative of 2P must have
     deg U = min(g, 2), i.e. (x - a)^2 for g >= 2 and a point for g = 1 (P not
     2-torsion), and for g > 1 no P may have order n for
-    3 <= n <= hi = min(n_max, 2g).  Only the multiples mP for
-    m <= ceil(hi/2) are built, 2P by double and the rest by add; nP = 0
-    exactly when ceil(n/2) P = -floor(n/2) P, which compares reduced Mumford
-    pairs, unique per class, by payloads over the tower.  At g = 2 that
-    needs no add at all.  f is lifted to the tower once and evaluated on
-    payloads; one sqrt per x-value both tests f(x) for a square and roots
-    it.  No Point is built: each (a, b) goes straight to its class
-    (x - a, b), and one squaring per x-value checks the root b of f(a).
+    3 <= n <= hi = min(n_max, 2g); at g = 1, hi = 2.  The scan walks with
+    _cantor_law over the tower T, on the f it lifts to T once: a point is
+    the payload pair ((-a, 1), (b,)), 2P comes from the tangent and only the
+    multiples mP for m <= ceil(hi/2) are built.  nP = 0 exactly when
+    ceil(n/2) P = -floor(n/2) P, which compares reduced pairs, unique per
+    class, by value.  One sqrt per x-value both tests f(x) for a square and
+    roots it, and one squaring checks the root.  A scan whose work estimate
+    q^2 * g * max(hi, 2) / 2 (q^2 = |T|, so q^2 g^2 at hi = 2g) exceeds
+    SCAN_LIMIT is refused with FieldTooLarge before any square root.
     Returns {"points_scanned": int, "violations": [...]}.
     """
-    ctx = curve.ctx
-    if ctx.q2 > SCAN_LIMIT:
+    n_max = _int_value(n_max, "max order")
+    ctx, g = curve.ctx, curve.g
+    hi = min(n_max, 2 * g) if g > 1 else 2
+    work = ctx.q2 * g * max(hi, 2) // 2
+    if work > SCAN_LIMIT:
         raise FieldTooLarge(
-            f"tower field has {ctx.q2} elements; scan bound is {SCAN_LIMIT}"
+            f"a scan of the {ctx.q2}-element tower field at genus {g} to order "
+            f"{hi} has work estimate {work}; scan bound is {SCAN_LIMIT}"
         )
-    g = curve.g
-    hi = min(int(n_max), 2 * g) if g > 1 else 2
     deg_2p = min(g, 2)  # 2P - 2(infinity) is reduced for g >= 2
     violations = []
     points = 0
     T = ctx.tower
-    zero, neg = T._zero, T.neg
-    f = [T.lift(curve.f.field, c) for c in curve.f.pc]
+    zero, one, neg = T._zero, T._one, T.neg
+    f = tuple(T.lift(curve.f.field, c) for c in curve.f.pc)
+    _, _, double, add, negate = _cantor_law(g, T, f)
     for i in range(T.q):
         x = T._from_index(i)
         fx = peval(T, f, x)
@@ -590,30 +630,23 @@ def torsion_scan(curve, n_max):
             raise InternalInvariantViolation(
                 f"sqrt(f(x))^2 != f(x) at x = {T.elem(x).encode()}"
             )
-        x_minus_a = from_payloads(T, (neg(x), T._one))
+        x_minus_a = (neg(x), one)
         for b in (s, neg(s)):
             points += 1
-            d = MumfordDivisor(curve, x_minus_a, from_payloads(T, (b,)), validate=False)
-            mult = [None, d, double(d)]  # mult[m] = m * P
-            if mult[2].U.degree() != deg_2p:
+            P = (x_minus_a, (b,))
+            mult = [None, P, double(P)]  # mult[m] = m * P
+            deg_u = len(mult[2][0]) - 1
+            if deg_u != deg_2p:
                 violations.append(
                     {"point": [T.elem(x).encode(), T.elem(b).encode()],
-                     "kind": "double-left-theta", "deg_u": mult[2].U.degree()}
+                     "kind": "double-left-theta", "deg_u": deg_u}
                 )
             while len(mult) <= (hi + 1) // 2:
-                mult.append(add(mult[-1], d))
+                mult.append(add(mult[-1], P))
             for n in range(3, hi + 1):
-                if _is_negation(T, mult[(n + 1) // 2], mult[n // 2]):
+                if mult[(n + 1) // 2] == negate(mult[n // 2]):
                     violations.append(
                         {"point": [T.elem(x).encode(), T.elem(b).encode()],
                          "kind": "small-order", "order": n}
                     )
     return {"points_scanned": points, "violations": violations}
-
-
-def _is_negation(T, A, B):
-    """Whether A = -B, for classes that are zero or lie over T: reduced
-    Mumford pairs are unique, so this compares payloads, V negated.  The
-    zero class lies over the base, but it is the only class with
-    deg U = 0, so it matches itself and nothing else."""
-    return A.U.pc == B.U.pc and A.V.pc == tuple(pneg(T, B.V.pc))

@@ -224,6 +224,19 @@ def test_halving_above_the_genus_bound_is_exit_2(workdir, g, data):
     assert err.startswith("error:") and f"genus {g}" in err
 
 
+def test_scan_above_the_work_bound_is_exit_5(workdir):
+    """101 roots over F_997 give g = 50, whose scan to order 4 would take
+    hours: `torsion-scan` is refused with exit 5 and empty stdout before
+    any square root."""
+    curve_file = workdir / "g50.json"
+    curve_file.write_text(json.dumps({"p": 997, "modulus": [1], "roots": [[r] for r in range(101)]}))
+    start = time.perf_counter()
+    code, out, err = run(["torsion-scan", f"--curve={curve_file}", "--max-order=4"])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (5, ""), err
+    assert err.startswith("error:") and "genus 50" in err
+
+
 def test_every_error_class_declares_a_tabled_code():
     classes = [
         cls

@@ -28,7 +28,7 @@ from jachalf.jacobian import (
     zero_class,
 )
 from jachalf.halving import halve
-from jachalf.poly import Poly, gcd
+from jachalf.poly import Poly, gcd, pneg
 
 from helpers import affine_points, make_ctx, random_curve, random_point
 
@@ -491,7 +491,7 @@ class TestScalarMul:
         """The closed-form walk for g = 1, 2 over F_p against the binary
         ladder on the generic add, by value, encoding and field object, for
         classes that send its steps to Cantor.  Classes over the tower or
-        over a second context object for F_p walk on add itself; the
+        over a second context object for F_p walk on _cantor_law; the
         ladder, which starts from the zero class over the curve's context,
         moves the latter to that context, so those compare by encoding."""
         rng = random.Random(10 * p + g)
@@ -562,6 +562,85 @@ class TestScalarMul:
         with pytest.raises(TypeError):
             scalar_mul(n, to_class(p42))
 
+    def test_result_lies_over_the_join_for_every_n(self):
+        """A 2-torsion class over a second context object for F_13, on a
+        g = 3 curve over F_13: every odd multiple is the class itself and
+        lies over that object, the join of its fields and f's, whether or
+        not the walk passes through the zero class; every even multiple is
+        the zero class."""
+        curve = curve_new(ctx_new(13, [1]), range(7))
+        other = ctx_new(13, [1])
+        d = MumfordDivisor(curve, Poly(other, [0, 1]), Poly.zero(other))
+        for n in (1, 3, 17, 33, -5, 2**61 + 1):
+            m = scalar_mul(n, d)
+            assert m == d and m.U.field is other and m.V.field is other, n
+        for n in (2, 16, -34):
+            assert scalar_mul(n, d).encode() == zero_class(curve).encode()
+
+
+def test_walks_call_no_public_group_law(monkeypatch):
+    """scalar_mul and torsion_scan walk on payload pairs only: with the
+    public add, double and negate patched to raise, the same calls return
+    the same encodings and reports.  The classes lie over the curve's
+    context, its tower and a second context object for the same field."""
+    rng = random.Random(15)
+
+    def mul(n, d):
+        return scalar_mul(n, d).encode()
+
+    calls = []
+    for p, modulus in ((13, [1]), (7, [1, 0, 1])):
+        ctx, other = ctx_new(p, modulus), ctx_new(p, modulus)
+        for g in (1, 2, 3):
+            curve = random_curve(ctx, g, rng)
+            pool = _divisor_pool(curve, ctx, rng, n_random=2)[0]
+            pool += _divisor_pool(curve, ctx.tower, rng, n_random=2)[0][-3:]
+            pool += [
+                MumfordDivisor(curve, Poly(other, d.U.coeffs), Poly(other, d.V.coeffs))
+                for d in pool[4:6]
+            ]
+            for d in pool:
+                for n in (1, 2, 3, 17, -5, 2**40 + 11):
+                    calls.append((mul, n, d))
+    f7, f49 = ctx_new(7, [1]), ctx_new(7, [1, 0, 1])
+    t = f49.generator()
+    calls += [
+        (torsion_scan, curve_new(f7, [0, 1, 6]), 4),
+        (torsion_scan, curve_new(f49, [0, 1, 6, t, -t]), 4),
+        (torsion_scan, curve_new(ctx_new(11, [1]), range(7)), 6),
+    ]
+    want = [fn(*args) for fn, *args in calls]
+
+    def refuse(*args):
+        raise AssertionError("the walk called the public group law")
+
+    for name in ("add", "double", "negate"):
+        monkeypatch.setattr(jacobian, name, refuse)
+    assert [fn(*args) for fn, *args in calls] == want
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_cantor_law_compares_by_value(g):
+    """torsion_scan compares payload pairs with ==, so each step of
+    _cantor_law returns the same containers for the same class: 2D = D + D,
+    D + (-D) = 0 and -(-D) = D hold as payload pairs over the tower, for
+    point classes (the tangent) and every other class (Cantor)."""
+    rng = random.Random(30 + g)
+    ctx = ctx_new(13, [1])
+    curve = random_curve(ctx, g, rng)
+    T = ctx.tower
+
+    def lift(P):
+        return tuple(T.lift(P.field, c) for c in P.pc)
+
+    state, _, double, add, negate = jacobian._cantor_law(g, T, lift(curve.f))
+    zero = ((T._one,), ())
+    for d in _divisor_pool(curve, T, rng, n_random=6)[0]:
+        D = state(lift(d.U), lift(d.V))
+        assert double(D) == add(D, D)
+        assert add(D, negate(D)) == zero
+        assert negate(negate(D)) == D
+
 
 class TestTorsionScan:
     def test_g1_vacuous(self, curve_g1_f7):
@@ -579,16 +658,21 @@ class TestTorsionScan:
 
     def test_violations_are_reported(self, monkeypatch):
         """A double that returns -P for one point makes that point fail both
-        checks: 2P has deg U = 1, and 3P = 2P + P = 0."""
+        checks: 2P has deg U = 1, and 3P = 2P + P = 0.  The scan doubles
+        payload pairs through the Cantor core, which is patched here."""
         ctx = ctx_new(13, [1])
         curve = curve_new(ctx, [0, 1, 2, 3, 4])
         a = ctx.from_int(5)
         b = curve.f(a).sqrt()
         target = to_class(Point(curve, a, b))
-        true_double = double
-        monkeypatch.setattr(
-            jacobian, "double", lambda d: negate(d) if d == target else true_double(d)
-        )
+        true_double = jacobian._cantor_double
+
+        def double_or_negate(g, F, f, U, V):
+            if jacobian._divisor(curve, F, U, V) == target:
+                return U, tuple(pneg(F, V))
+            return true_double(g, F, f, U, V)
+
+        monkeypatch.setattr(jacobian, "_cantor_double", double_or_negate)
         report = torsion_scan(curve, 4)
         where = [a.encode(), b.encode()]
         assert report["violations"] == [
@@ -610,3 +694,41 @@ class TestTorsionScan:
         curve = curve_new(ctx, [0, 1, 2])
         with pytest.raises(FieldTooLarge):
             torsion_scan(curve, 4)
+
+    @pytest.mark.parametrize(
+        "p,g,n_max,accepted",
+        [
+            (997, 1, 4, True),  # q^2 = 994 009; n_max is not read at g = 1
+            (499, 2, 4, True),  # 4 q^2 = 996 004
+            (503, 2, 4, False),  # 4 q^2 = 1 012 036
+            (337, 3, 4, True),  # 6 q^2 = 681 414
+            (337, 3, 6, False),  # 9 q^2 = 1 022 121
+            (997, 50, 4, False),  # 100 q^2
+        ],
+    )
+    def test_work_bound(self, monkeypatch, p, g, n_max, accepted):
+        """The scan bound weighs |tower| = q^2 by g and the effective max
+        order, q^2 g min(n_max, 2g) / 2, and refuses before any square
+        root.  An accepted scan is stopped at its first root."""
+
+        class Started(Exception):
+            pass
+
+        def sqrt(T, a):
+            raise Started
+
+        monkeypatch.setattr(TowerField, "sqrt", sqrt)
+        curve = curve_new(ctx_new(p, [1]), range(2 * g + 1))
+        if accepted:
+            with pytest.raises(Started):
+                torsion_scan(curve, n_max)
+        else:
+            with pytest.raises(FieldTooLarge, match=f"at genus {g} "):
+                torsion_scan(curve, n_max)
+
+    @pytest.mark.parametrize("n_max", [4.9, "4", True, None])
+    @pytest.mark.parametrize("g", [1, 2])
+    def test_non_integer_max_order_is_refused(self, g, n_max):
+        curve = curve_new(ctx_new(7, [1]), range(2 * g + 1))
+        with pytest.raises(TypeError, match="max order"):
+            torsion_scan(curve, n_max)
