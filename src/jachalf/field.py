@@ -27,18 +27,25 @@ its coefficients over F_p, low-to-high; a tower payload is a pair of base
 payloads (c0, c1) standing for c0 + c1*u.  Both forms order like their
 encode(), which keeps the choice of canonical square root unchanged.
 
-The payload ops of each field come from one of four constructions:
+The payload ops of each field come from one of five constructions:
   - F_p: int lambdas, plus the kernels _int_polymul and _int_polydivmod,
     which sum raw integer products and reduce mod p once per coefficient;
     they are F_p's polymul and polydivmod.
   - _quadratic(p, c0, c1), F_p[w] with w^2 = c0 + c1*w on pairs of ints:
     F_{p^2} from the modulus t^2 + m1*t + m0 as (-m0, -m1), and the tower
-    of F_p as (ns, 0).
+    of F_p as (ns, 0).  Its polymul on lists of pairs sums the raw
+    products x0*y0, x0*y1 + x1*y0 and x1*y1 per coefficient and reduces
+    once, by w^2 and mod p.
+  - _quartic(p, c0, c1, n0, n1), the tower of F_{p^2} (k = 2) on pairs of
+    pairs of ints, with ns = n0 + n1*t: add, sub, neg and a product that
+    is one call on raw int products, reduced once per output coordinate.
+    Its inverse runs on the base field's ops through the norm.
   - F_{p^k}, k >= 3: k-tuples, the product being the kernel product reduced
     by the modulus with the kernel division; the inverse is Fermat's.
-  - The tower of F_{p^k}, k >= 2: Karatsuba on the base field's payload ops.
-Every field but F_p runs polymul and polydivmod on its payload ops, and
-Ben-Or's irreducibility test runs Euclid over F_p on _int_polydivmod.
+  - The tower of F_{p^k}, k >= 3: Karatsuba on the base field's payload ops.
+Fields without a polymul kernel (k = 2 towers and k >= 3) run polymul on
+their payload ops; every field but F_p runs polydivmod on its payload ops,
+and Ben-Or's irreducibility test runs Euclid over F_p on _int_polydivmod.
 
 A FieldElement holds the field object of its payload.  Two operands meet
 in join(F, G), the one rule for mixing field objects: the tower when
@@ -156,14 +163,30 @@ def _int_polydivmod(p):
 
 
 def _quadratic(p, c0, c1):
-    """add, sub, neg, mul and inv of F_p[w]/(w^2 - c1*w - c0), w^2 = c0 + c1*w
-    irreducible, on pairs of ints (a0, a1) standing for a0 + a1*w."""
+    """add, sub, neg, mul, inv and polymul of F_p[w]/(w^2 - c1*w - c0),
+    w^2 = c0 + c1*w irreducible, on pairs of ints (a0, a1) standing for
+    a0 + a1*w."""
 
     def mul(a, b):
         a0, a1 = a
         b0, b1 = b
         c = a1 * b1
         return ((a0 * b0 + c0 * c) % p, (a0 * b1 + a1 * b0 + c1 * c) % p)
+
+    def polymul(a, b):
+        # per coefficient, the raw sums of x0*y0, x0*y1 + x1*y0 and x1*y1,
+        # then one reduction by w^2 = c0 + c1*w and mod p
+        if not a or not b:
+            return []
+        n = len(a) + len(b) - 1
+        s0, s1, s2 = [0] * n, [0] * n, [0] * n
+        for i, (x0, x1) in enumerate(a):
+            if x0 or x1:
+                for j, (y0, y1) in enumerate(b, i):
+                    s0[j] += x0 * y0
+                    s1[j] += x0 * y1 + x1 * y0
+                    s2[j] += x1 * y1
+        return [((u + c0 * w) % p, (v + c1 * w) % p) for u, v, w in zip(s0, s1, s2)]
 
     def inv(a):
         # a * conj(a) = N(a) in F_p, with conj(w) = c1 - w
@@ -180,7 +203,47 @@ def _quadratic(p, c0, c1):
         lambda a: (-a[0] % p, -a[1] % p),
         mul,
         inv,
+        polymul,
     )
+
+
+def _quartic(p, c0, c1, n0, n1):
+    """add, sub, neg and mul of F_p[t, u]/(t^2 - c1*t - c0, u^2 - n0 - n1*t)
+    on pairs of pairs of ints ((a00, a01), (a10, a11)), standing for
+    a00 + a01*t + (a10 + a11*t)*u.  The product sums raw int products and
+    reduces mod p once per output coordinate."""
+
+    def add(a, b):
+        (a00, a01), (a10, a11) = a
+        (b00, b01), (b10, b11) = b
+        return ((a00 + b00) % p, (a01 + b01) % p), ((a10 + b10) % p, (a11 + b11) % p)
+
+    def sub(a, b):
+        (a00, a01), (a10, a11) = a
+        (b00, b01), (b10, b11) = b
+        return ((a00 - b00) % p, (a01 - b01) % p), ((a10 - b10) % p, (a11 - b11) % p)
+
+    def neg(a):
+        (a00, a01), (a10, a11) = a
+        return (-a00 % p, -a01 % p), (-a10 % p, -a11 % p)
+
+    def mul(a, b):
+        (a00, a01), (a10, a11) = a
+        (b00, b01), (b10, b11) = b
+        # A1*B1 with t^2 folded in, then A0*B0 + ns*A1*B1 and A0*B1 + A1*B0
+        # as polynomials of degree 2 in t
+        q2 = a11 * b11
+        q0 = a10 * b10 + c0 * q2
+        q1 = a10 * b11 + a11 * b10 + c1 * q2
+        s2 = a01 * b01 + n1 * q1
+        s0 = a00 * b00 + n0 * q0 + c0 * s2
+        s1 = a00 * b01 + a01 * b00 + n0 * q1 + n1 * q0 + c1 * s2
+        r2 = a01 * b11 + a11 * b01
+        r0 = a00 * b10 + a10 * b00 + c0 * r2
+        r1 = a00 * b11 + a01 * b10 + a10 * b01 + a11 * b00 + c1 * r2
+        return ((s0 % p, s1 % p), (r0 % p, r1 % p))
+
+    return add, sub, neg, mul
 
 
 class _Field:
@@ -334,7 +397,8 @@ class FieldCtx(_Field):
             self.polymul, self.polydivmod = _int_polymul(p), _int_polydivmod(p)
         elif k == 2:
             m0, m1 = self.modulus[:2]
-            self.add, self.sub, self.neg, self.mul, self.inv = _quadratic(p, -m0 % p, -m1 % p)
+            ops = _quadratic(p, -m0 % p, -m1 % p)
+            self.add, self.sub, self.neg, self.mul, self.inv, self.polymul = ops
         else:
             polymul, polydivmod, mod = _int_polymul(p), _int_polydivmod(p), self.modulus
             self.add = lambda a, b: tuple([(x + y) % p for x, y in zip(a, b)])
@@ -531,9 +595,20 @@ class TowerField(_Field):
         self.polymul, self.polydivmod = self._polymul_loop, self._polydivmod_loop
         ns = base.nonsquare
         if base.k == 1:
-            self.add, self.sub, self.neg, self.mul, self.inv = _quadratic(base.p, ns, 0)
+            ops = _quadratic(base.p, ns, 0)
+            self.add, self.sub, self.neg, self.mul, self.inv, self.polymul = ops
             return
         badd, bsub, bneg, bmul, binv = base.add, base.sub, base.neg, base.mul, base.inv
+
+        def inv(a):
+            ninv = binv(self._norm(a))
+            return (bmul(a[0], ninv), bneg(bmul(a[1], ninv)))
+
+        self.inv = inv
+        if base.k == 2:
+            p, (m0, m1) = base.p, base.modulus[:2]
+            self.add, self.sub, self.neg, self.mul = _quartic(p, -m0 % p, -m1 % p, *ns)
+            return
 
         def mul(a, b):
             # Karatsuba: three base products
@@ -544,11 +619,7 @@ class TowerField(_Field):
             m = bmul(badd(a0, a1), badd(b0, b1))
             return (badd(t0, bmul(ns, t1)), bsub(bsub(m, t0), t1))
 
-        def inv(a):
-            ninv = binv(self._norm(a))
-            return (bmul(a[0], ninv), bneg(bmul(a[1], ninv)))
-
-        self.mul, self.inv = mul, inv
+        self.mul = mul
         self.add = lambda a, b: (badd(a[0], b[0]), badd(a[1], b[1]))
         self.sub = lambda a, b: (bsub(a[0], b[0]), bsub(a[1], b[1]))
         self.neg = lambda a: (bneg(a[0]), bneg(a[1]))

@@ -14,10 +14,10 @@ add and double are thin wrappers: they lift their operands to payloads
 and run the Cantor cores _cantor_add and _cantor_double.
 scalar_mul and torsion_scan walk on reduced payload pairs only, with f
 lifted once per call, through a group law (state, pair, double, add,
-negate) on payloads.  scalar_mul picks the law: over a prime field
-(k = 1), with D and f over the curve's own context, g = 1 and g = 2 take
-closed forms on plain int tuples, one inversion per step: the
-chord-and-tangent rule on affine (x, y) for g = 1, and for g = 2 Harley's
+negate) on payloads.  scalar_mul picks the law: when D and f meet in a
+base context for a prime field (k = 1), g = 1 and g = 2 take closed
+forms on plain int tuples, one inversion per step: the chord-and-tangent
+rule on affine (x, y) for g = 1, and for g = 2 Harley's
 composition with one reduction step in Lange's affine formulas ("Formulae
 for arithmetic on genus 2 hyperelliptic curves", AAECC 15, 2005).  A step
 the closed forms do not cover (deg U < 2, a resultant r = 0, or s1 = 0) is
@@ -66,8 +66,8 @@ from .poly import (
     pxgcd,
 )
 
-# torsion_scan refuses a scan whose work estimate, |tower| * g * max order / 2,
-# exceeds this
+# torsion_scan refuses a scan whose work estimate,
+# |tower| * k^2 * g * max order / 2, exceeds this
 SCAN_LIMIT = 10**6
 
 
@@ -564,19 +564,19 @@ def scalar_mul(n, d):
     additions, negative digits taking the negation, which is free.
 
     D and f are lifted once to F, the join of their field objects, and the
-    window is walked on payloads with one law: when F is the curve's own
-    context and a prime field (k = 1), the closed forms of _chord_tangent
-    (g = 1) and _genus2 (g = 2), and otherwise _cantor_law.  Only the result
-    is built as a MumfordDivisor.  It lies over F for every n, unless it is
-    the zero class, which is zero_class(curve); its value and encoding are
-    Cantor's.
+    window is walked on payloads with one law: when F is a base context
+    for a prime field (k = 1), the curve's own or another, the closed forms
+    of _chord_tangent (g = 1) and _genus2 (g = 2), and otherwise
+    _cantor_law.  Only the result is built as a MumfordDivisor.  It lies
+    over F for every n, unless it is the zero class, which is
+    zero_class(curve); its value and encoding are Cantor's.
     """
     n = _int_value(n, "scalar")
     curve, g = d.curve, d.curve.g
     if n == 0:
         return zero_class(curve)
     F, (U, V, f) = common_payloads(d.U, d.V, curve.f)
-    if F is curve.ctx and F.k == 1 and g <= 2:
+    if F.tower is not F and F.k == 1 and g <= 2:
         state, pair, *law = (_chord_tangent if g == 1 else _genus2)(F, f)
     else:
         state, pair, *law = _cantor_law(g, F, f)
@@ -596,17 +596,20 @@ def torsion_scan(curve, n_max):
     ceil(n/2) P = -floor(n/2) P, which compares reduced pairs, unique per
     class, by value.  One sqrt per x-value both tests f(x) for a square and
     roots it, and one squaring checks the root.  A scan whose work estimate
-    q^2 * g * max(hi, 2) / 2 (q^2 = |T|, so q^2 g^2 at hi = 2g) exceeds
-    SCAN_LIMIT is refused with FieldTooLarge before any square root.
+    q^2 * k^2 * g * max(hi, 2) / 2 exceeds SCAN_LIMIT is refused with
+    FieldTooLarge before any square root: q^2 = |T| counts the x-values,
+    k^2 = [F_q : F_p]^2 weighs the cost of one tower operation, and the
+    rest counts the multiples, so the estimate is q^2 k^2 g^2 at hi = 2g.
     Returns {"points_scanned": int, "violations": [...]}.
     """
     n_max = _int_value(n_max, "max order")
     ctx, g = curve.ctx, curve.g
     hi = min(n_max, 2 * g) if g > 1 else 2
-    work = ctx.q2 * g * max(hi, 2) // 2
+    work = ctx.q2 * ctx.k**2 * g * max(hi, 2) // 2
     if work > SCAN_LIMIT:
         raise FieldTooLarge(
-            f"a scan of the {ctx.q2}-element tower field at genus {g} to order "
+            f"a scan of the {ctx.q2}-element tower field of degree {2 * ctx.k} "
+            f"over F_{ctx.p} at genus {g} to order "
             f"{hi} has work estimate {work}; scan bound is {SCAN_LIMIT}"
         )
     deg_2p = min(g, 2)  # 2P - 2(infinity) is reduced for g >= 2

@@ -1,6 +1,8 @@
 """Field tower arithmetic: contexts, axioms, square roots, Frobenius."""
 
+import collections
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -284,6 +286,74 @@ class TestAxioms:
         for x in list(f49t.elements()) + list(f49t.tower.elements()):
             if not x.is_zero():
                 assert x * x.inverse() == 1
+
+
+# the basis 1, t, u, tu of F_{p^4} = F_p[t, u]/(m(t), u^2 - ns(t)), as the
+# exponents (i, j) of t^i u^j, in the order of a flattened tower payload
+_BASIS4 = ((0, 0), (1, 0), (0, 1), (1, 1))
+
+
+def _quartic_oracle(p, modulus, ns):
+    """The product of F_{p^4} = F_p[t, u]/(t^2 + m1 t + m0, u^2 - n0 - n1 t)
+    on coordinate 4-vectors over (1, t, u, tu), in plain ints: the product
+    polynomial in t and u, reduced by u^2 and then by t^2, top power first."""
+    m0, m1, _ = modulus
+    n0, n1 = ns
+
+    def mul(a, b):
+        c = collections.defaultdict(int)
+        for (i, j), x in zip(_BASIS4, a):
+            for (k, l), y in zip(_BASIS4, b):
+                c[i + k, j + l] += x * y
+        for i in range(3):  # t^i u^2 = t^i (n0 + n1 t)
+            v = c.pop((i, 2), 0)
+            c[i, 0] += n0 * v
+            c[i + 1, 0] += n1 * v
+        for i in (3, 2):  # t^i u^j = t^(i-2) u^j (-m0 - m1 t)
+            for j in (0, 1):
+                v = c.pop((i, j), 0)
+                c[i - 2, j] -= m0 * v
+                c[i - 1, j] -= m1 * v
+        return [c[key] % p for key in _BASIS4]
+
+    return mul
+
+
+class TestQuarticProduct:
+    """The F_{p^4} product against _quartic_oracle, which calls no field
+    op: the context gives only its modulus and its non-square ns."""
+
+    @staticmethod
+    def _check(ctx, pairs):
+        T, oracle = ctx.tower, _quartic_oracle(ctx.p, ctx.modulus, ctx.nonsquare)
+        for a, b in pairs:
+            (a00, a01), (a10, a11) = a
+            (b00, b01), (b10, b11) = b
+            (c00, c01), (c10, c11) = T.mul(a, b)
+            assert [c00, c01, c10, c11] == oracle([a00, a01, a10, a11], [b00, b01, b10, b11])
+
+    @staticmethod
+    def _random_pairs(p, n, seed):
+        rng = random.Random(seed)
+
+        def draw():
+            return tuple(tuple(rng.randrange(p) for _ in range(2)) for _ in range(2))
+
+        return [(draw(), draw()) for _ in range(n)]
+
+    def test_every_pair_over_f81(self):
+        ctx = ctx_new(3, [1, 0, 1])  # t^2 + 1
+        values = [((a, b), (c, d)) for a, b, c, d in itertools.product(range(3), repeat=4)]
+        self._check(ctx, itertools.product(values, values))
+
+    def test_random_pairs_with_t_term(self, f49t):
+        # t^2 + t + 3: the t term of the modulus runs the c1 terms
+        assert f49t.modulus[1] != 0 and f49t.nonsquare[1] != 0
+        self._check(f49t, self._random_pairs(7, 2000, 7))
+
+    def test_random_pairs_at_large_prime(self):
+        p = 2**61 - 1
+        self._check(ctx_new(p, [1, 0, 1]), self._random_pairs(p, 2000, 61))
 
 
 def _check_sqrt_squares_back(ctx):

@@ -19,6 +19,13 @@ CURVES = {
     "g3f11": {"p": 11, "modulus": [1], "roots": [[0], [1], [2], [3], [4], [5], [6]]},
     # F_25 = F_5[t]/(t^2 + 3); the point has a outside F_5
     "f25": {"p": 5, "modulus": [3, 0, 1], "roots": [[4, 1], [0, 3], [1, 4], [1, 3], [0, 4]]},
+    # F_49 = F_7[t]/(t^2 + t + 3): the halves lie over the tower F_{7^4}
+    "g3f49": {
+        "p": 7, "modulus": [3, 1, 1],
+        "roots": [[0], [1], [2], [0, 1], [3, 1], [5, 2], [6, 4]],
+    },
+    # y^2 = x^5 - x over F_49 = F_7[t]/(t^2 + 1): roots 0, 1, -1, t, -t
+    "f49": {"p": 7, "modulus": [1, 0, 1], "roots": [[0], [1], [6], [0, 1], [0, 6]]},
     "p61": {"p": 2**61 - 1, "modulus": [1], "roots": [[0], [1], [2]]},
     "p61g2": {"p": 2**61 - 1, "modulus": [1], "roots": [[i] for i in range(5)]},
     "p61g3": {"p": 2**61 - 1, "modulus": [1], "roots": [[i] for i in range(7)]},
@@ -58,6 +65,12 @@ CASES = [
         "f25", ["halve", "--point", "[[3,1],[2,0]]"], 16,
         '{"U":[[1,1],[4,3],[1,0]],"V":[[0,4],[1,0]],"rational":false,"tuple_index":0}',
         "78d9d77e60573d72445c8ec5a2295418904e71c54a133ec6f6246c34280af22b",
+    ),
+    (
+        "g3f49", ["halve", "--point", "[[2,1],[3,4]]"], 64,
+        '{"U":[[[1,5],[1,2]],[[1,3],[2,4]],[[2,3],[4,4]],[1,0]],'
+        '"V":[[[3,2],[4,0]],[[5,3],[2,1]],[[1,3],[1,1]]],"rational":false,"tuple_index":0}',
+        "1a82c4c105759a76e6c84dfc94b32381a566ac6b7f3a929bb97ebcb7faef6053",
     ),
     (
         "p61",
@@ -119,6 +132,11 @@ CASES = [
         "g3f11", ["torsion-scan", "--max-order", "6"], 1,
         '{"points_scanned":123,"violations":[]}',
         "8107bddb0034b0ecf8f9289da276453eb05ab8ae4278cfa014b60dc254c223e6",
+    ),
+    (  # the whole scan runs over the tower F_{7^4}
+        "f49", ["torsion-scan", "--max-order", "4"], 1,
+        '{"points_scanned":2205,"violations":[]}',
+        "a1151d32eb47b5ac696c37af96412868e074b38ca0bd907372db97a614e805ad",
     ),
 ]
 

@@ -490,10 +490,11 @@ class TestScalarMul:
     def test_closed_forms_match_binary_ladder(self, g, p):
         """The closed-form walk for g = 1, 2 over F_p against the binary
         ladder on the generic add, by value, encoding and field object, for
-        classes that send its steps to Cantor.  Classes over the tower or
-        over a second context object for F_p walk on _cantor_law; the
-        ladder, which starts from the zero class over the curve's context,
-        moves the latter to that context, so those compare by encoding."""
+        classes that send its steps to Cantor.  Classes over the tower walk
+        on _cantor_law, and classes over a second context object for F_p
+        on the closed forms; the ladder, which starts from the zero class
+        over the curve's context, moves the latter to that context, so
+        those compare by encoding."""
         rng = random.Random(10 * p + g)
         curve = _test_curve(p, g, rng, 3, True)
         ctx = curve.ctx
@@ -556,6 +557,25 @@ class TestScalarMul:
             assert _law_step(curve, "add", d1, d2).encode() == total.encode()
             assert _law_step(curve, "double", d1).encode() == twice.encode()
         assert calls == {"add": 0, "double": 0}
+
+    def test_second_context_walks_in_closed_form(self, monkeypatch):
+        """A g = 2 class over a second context object for F_p, p = 2^61 - 1,
+        walks the closed forms as one over the curve's context does: no
+        step is Cantor's, and each multiple has the same encoding and lies
+        over that second object."""
+        rng = random.Random(16)
+        ctx, other = ctx_new(P61, [1]), ctx_new(P61, [1])
+        curve = curve_new(ctx, [rng.randrange(P61) for _ in range(5)])
+        P, Q = _point_classes(curve, rng, 2)
+        d = add(P, Q)
+        d_other = MumfordDivisor(curve, Poly(other, d.U.coeffs), Poly(other, d.V.coeffs))
+        scalars = [rng.getrandbits(61) for _ in range(5)]
+        calls = _count_cantor(monkeypatch)
+        want = [scalar_mul(n, d) for n in scalars]
+        got = [scalar_mul(n, d_other) for n in scalars]
+        assert calls == {"add": 0, "double": 0}
+        assert [m.encode() for m in got] == [m.encode() for m in want]
+        assert all(m.U.field is other and m.V.field is other for m in got)
 
     @pytest.mark.parametrize("n", [2.9, "3", True, None])
     def test_non_integer_scalar_is_refused(self, p42, n):
@@ -704,12 +724,18 @@ class TestTorsionScan:
             (337, 3, 4, True),  # 6 q^2 = 681 414
             (337, 3, 6, False),  # 9 q^2 = 1 022 121
             (997, 50, 4, False),  # 100 q^2
+            # k = 2 (p, modulus t^2 - c, c a non-square mod p), weighed by k^2 = 4
+            pytest.param((19, [1, 0, 1]), 1, 4, True, id="19^2-1-4-True"),  # 4 q^2 = 521 284
+            pytest.param((23, [1, 0, 1]), 1, 4, False, id="23^2-1-4-False"),  # 1 119 364
+            pytest.param((13, [11, 0, 1]), 2, 4, True, id="13^2-2-4-True"),  # 16 q^2 = 456 976
+            pytest.param((17, [14, 0, 1]), 2, 4, False, id="17^2-2-4-False"),  # 1 336 336
         ],
     )
     def test_work_bound(self, monkeypatch, p, g, n_max, accepted):
-        """The scan bound weighs |tower| = q^2 by g and the effective max
-        order, q^2 g min(n_max, 2g) / 2, and refuses before any square
-        root.  An accepted scan is stopped at its first root."""
+        """The scan bound weighs |tower| = q^2 by k^2, g and the effective
+        max order, q^2 k^2 g min(n_max, 2g) / 2, and refuses before any
+        square root.  An accepted scan is stopped at its first root.  p is
+        a prime field's p, or (p, modulus) for a k = 2 field."""
 
         class Started(Exception):
             pass
@@ -718,7 +744,8 @@ class TestTorsionScan:
             raise Started
 
         monkeypatch.setattr(TowerField, "sqrt", sqrt)
-        curve = curve_new(ctx_new(p, [1]), range(2 * g + 1))
+        p, modulus = p if isinstance(p, tuple) else (p, [1])
+        curve = curve_new(ctx_new(p, modulus), range(2 * g + 1))
         if accepted:
             with pytest.raises(Started):
                 torsion_scan(curve, n_max)

@@ -220,6 +220,8 @@ KERNEL_FIELDS = {  # name -> builds the field object
     "F13^2": lambda: ctx_new(13, [1]).tower,
     "F5^6": lambda: ctx_new(5, [1, 1, 0, 1]).tower,
     "F7^4": lambda: ctx_new(7, [3, 1, 1]).tower,
+    "F_(2^61-1)^2": lambda: ctx_new(P61, [1, 0, 1]),  # t^2 + 1
+    "F_(2^61-1)^4": lambda: ctx_new(P61, [1, 0, 1]).tower,
 }
 
 
@@ -234,6 +236,15 @@ def _random_payloads(F, rng, n, lead=None):
         while out[-1] == F._zero:
             out[-1] = draw()
     return out
+
+
+def _ints(x):
+    """The ints of a payload, or of a list of payloads, in order."""
+    if isinstance(x, int):
+        yield x
+    else:
+        for y in x:
+            yield from _ints(y)
 
 
 def _schoolbook(a, b, p):
@@ -262,7 +273,10 @@ def _check_identity(F, lhs, rhs, rng):
         assert total(lhs) == total(rhs)
         return
     deg = max(sum(len(f) for f in factors) for factors in lhs + rhs)
-    points = [F.elem(F._from_index(i)) for i in rng.sample(range(F.q), deg + 1)]
+    indices = set()  # distinct; rng.sample cannot take a range of q > 2^63
+    while len(indices) <= deg:
+        indices.add(rng.randrange(F.q))
+    points = [F.elem(F._from_index(i)) for i in sorted(indices)]
 
     def value(terms, x):
         acc = F.zero()
@@ -288,6 +302,7 @@ class TestKernels:
             b = _random_payloads(F, rng, rng.randrange(0, 7))
             prod = F.polymul(a, b)
             assert len(prod) == (len(a) + len(b) - 1 if a and b else 0)
+            assert all(0 <= c < F.p for c in _ints(prod))  # reduced payloads
             if F.base is F and F.k == 1:
                 assert prod == _schoolbook(a, b, F.p)
             _check_identity(F, [[prod]], [[a, b]], rng)
