@@ -50,7 +50,8 @@ and Ben-Or's irreducibility test runs Euclid over F_p on _int_polydivmod.
 A FieldElement holds the field object of its payload.  Two operands meet
 in join(F, G), the one rule for mixing field objects: the tower when
 exactly one side is a tower, else F; each side's payload is then moved
-there by that field's lift().  Equality, hashing and encode() go by value;
+there by that field's lift(); poly.lifted applies the same rule to any
+number of values.  Equality, hashing and encode() go by value;
 a value in F_p hashes like its int in [0, p).  All values are immutable.
 """
 
@@ -262,7 +263,7 @@ class _Field:
         return FieldElement(self, self._one)
 
     def from_int(self, n):
-        return FieldElement(self, self._int_payload(n))
+        return FieldElement(self, self._int_payload(_int_value(n, "field element")))
 
     def elements(self):
         for i in range(self.q):
@@ -343,8 +344,10 @@ class FieldCtx(_Field):
         while mod and mod[-1] == 0:
             mod.pop()
         mod = tuple(mod)
-        if mod == (1,):
-            # CLI convention: modulus [1] means the prime field itself.
+        if mod == (1,) or len(mod) == 2 and mod[1] == 1:
+            # [1], the CLI convention, and every monic degree-1 modulus give
+            # F_p itself; one form keeps same_field exact, and k = 1
+            # arithmetic and encodings never read it
             mod = (0, 1)
         if len(mod) < 2:
             raise ReducibleModulus(
@@ -788,8 +791,8 @@ class FieldElement:
         """Equality by value, across field objects of one field.  An int n
         equals x when n = x (mod p); only n in [0, p) also hashes like x."""
         if isinstance(other, int):
-            other = self.field.from_int(other)
-        elif not isinstance(other, FieldElement):
+            return self.payload == self.field._int_payload(other)
+        if not isinstance(other, FieldElement):
             return NotImplemented
         if other.field is self.field:
             return self.payload == other.payload

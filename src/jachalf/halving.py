@@ -9,9 +9,10 @@ s_i of the r_i, linear in the s_i when written in y = a - x:
     V(x) = [ sum_{j=1..g} s_{2j-1} y^{g-j+1} ] - b - s_1 * (-1)^g U(x)
 
 and the map is inverted by r_i = s_1 + (-1)^g V(alpha_i) / U(alpha_i).
-Each r_i lies in the base field or in its quadratic tower.  Per tuple the
-r_i, a and b meet in one field object F, the tower exactly when one of them
-lies there; rational results are detected afterwards coefficient-wise.
+Each r_i lies in the base field or in its quadratic tower.  Per tuple
+poly.lifted moves the r_i, a, b and f to one field object F, the tower
+exactly when one of them lies there, starting from curve.ctx; rational
+results are detected afterwards coefficient-wise.
 
 mumford_from_tuple runs on the payload kernels of poly.py: the s_i come
 from the product recurrence, and the Horner in y = a - x multiplies a
@@ -31,13 +32,13 @@ from .errors import (
     NotAHalf,
     TowerExhausted,
 )
-from .field import FieldElement, join
+from .field import FieldElement
 from .poly import (
-    _payloads,
     _scale,
     _symmetric,
     _trim,
     from_payloads,
+    lifted,
     padd,
     peval,
     pneg,
@@ -175,9 +176,9 @@ def _times_y(F, P, a):
 def mumford_from_tuple(tup, verify=True):
     """Mumford pair of the half determined by a sqrt tuple; with verify on,
     its certificate is checked against s_1 of the tuple.  Runs on payloads
-    over the join F of the fields of the r_i, a and b."""
+    over F, where lifted joins the r_i, a, b and f."""
     curve, point, g = tup.curve, tup.point, tup.curve.g
-    F, (*r, a, b) = _payloads(curve.ctx, (*tup.r, point.a, point.b))
+    F, (*r, a, b, f) = lifted(curve.ctx, *tup.r, point.a, point.b, curve.f)
     s = _symmetric(F, r)[1:]
     add, sub, mul = F.add, F.sub, F.mul
 
@@ -194,7 +195,6 @@ def mumford_from_tuple(tup, verify=True):
     V = _trim([sub(x, mul(s1, y)) for x, y in zip(v, w)], F._zero)
 
     if verify:
-        f = curve.f.pc if curve.f.field is F else [F.lift(curve.f.field, c) for c in curve.f.pc]
         reason = _half_failure(F, g, f, U, V, a, b, s1)
         if reason:
             raise InternalInvariantViolation(f"formula output is not a half: {reason}")
@@ -269,9 +269,9 @@ def recover_tuple(d, point=None, s1=None):
 
     curve = divisor.curve
     curve.check_same(point.curve)
-    F = join(join(curve.ctx, divisor.U.field), divisor.V.field)
-    F, (a, b, s1p) = _payloads(F, (point.a, point.b, s1))
-    U, V, f = ([F.lift(P.field, c) for c in P.pc] for P in (divisor.U, divisor.V, curve.f))
+    F, (U, V, f, a, b, s1p) = lifted(
+        curve.ctx, divisor.U, divisor.V, curve.f, point.a, point.b, s1
+    )
     reason = _half_failure(F, curve.g, f, U, V, a, b, s1p)
     if reason:
         raise NotAHalf(f"divisor is not the half of the point with this s_1: {reason}")

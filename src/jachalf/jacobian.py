@@ -11,7 +11,7 @@ takes Cantor's doubling (Math. Comp. 48, 1987): one xgcd(U, 2V), U^2 as the
 composed U, and a first reduction step that never forms V^2; when
 gcd(U, 2V) != 1 (a Weierstrass point in the support) it is add(d, d).
 add and double are thin wrappers: they lift their operands to payloads
-and run the Cantor cores _cantor_add and _cantor_double.
+with poly.lifted and run the Cantor cores _cantor_add and _cantor_double.
 scalar_mul and torsion_scan walk on reduced payload pairs only, with f
 lifted once per call, through a group law (state, pair, double, add,
 negate) on payloads.  scalar_mul picks the law: when D and f meet in a
@@ -50,13 +50,13 @@ from .errors import (
     InvalidDivisor,
     NotOnCurve,
 )
-from .field import _int_value
+from .field import FieldElement, _int_value
 from .poly import (
     Poly,
     _trim,
-    common_payloads,
     from_payloads,
     from_roots,
+    lifted,
     padd,
     pdivmod,
     pmonic,
@@ -79,7 +79,7 @@ class Curve:
     def __init__(self, ctx, roots):
         rs = []
         for r in roots:
-            if isinstance(r, int):
+            if not isinstance(r, FieldElement):
                 r = ctx.from_int(r)
             elif not ctx.same_field(r.field.base):
                 raise CtxMismatch("root from a different context")
@@ -129,9 +129,9 @@ class Point:
             self.b = None
             return
         ctx = curve.ctx
-        if isinstance(a, int):
+        if not isinstance(a, FieldElement):
             a = ctx.from_int(a)
-        if isinstance(b, int):
+        if not isinstance(b, FieldElement):
             b = ctx.from_int(b)
         if b * b != curve.f(a):
             raise NotOnCurve(f"b^2 != f(a) for a={a.encode()}, b={b.encode()}")
@@ -249,13 +249,13 @@ def _divisor(curve, F, U, V):
 def add(d1, d2):
     """Cantor composition + reduction; returns the canonical representative.
 
-    U1, U2, V1, V2 and f are lifted once to the join F of their field
-    objects; _cantor_add runs on the payload kernels of poly.py, and only
-    the result is built as Polys over F.
+    U1, U2, V1, V2 and f are moved once by poly.lifted, from d1.U.field,
+    to the join F of their field objects; _cantor_add runs on the payload
+    kernels of poly.py, and only the result is built as Polys over F.
     """
     d1.curve.check_same(d2.curve)
     curve = d1.curve
-    F, (U1, U2, V1, V2, f) = common_payloads(d1.U, d2.U, d1.V, d2.V, curve.f)
+    F, (U1, U2, V1, V2, f) = lifted(d1.U.field, d1.U, d2.U, d1.V, d2.V, curve.f)
     return _divisor(curve, F, *_cantor_add(curve.g, F, f, U1, V1, U2, V2))
 
 
@@ -327,7 +327,7 @@ def double(d):
     if d.is_zero():
         return d
     curve = d.curve
-    F, (U, V, f) = common_payloads(d.U, d.V, curve.f)
+    F, (U, V, f) = lifted(d.U.field, d.U, d.V, curve.f)
     return _divisor(curve, F, *_cantor_double(curve.g, F, f, U, V))
 
 
@@ -575,7 +575,7 @@ def scalar_mul(n, d):
     curve, g = d.curve, d.curve.g
     if n == 0:
         return zero_class(curve)
-    F, (U, V, f) = common_payloads(d.U, d.V, curve.f)
+    F, (U, V, f) = lifted(d.U.field, d.U, d.V, curve.f)
     if F.tower is not F and F.k == 1 and g <= 2:
         state, pair, *law = (_chord_tangent if g == 1 else _genus2)(F, f)
     else:
@@ -615,9 +615,8 @@ def torsion_scan(curve, n_max):
     deg_2p = min(g, 2)  # 2P - 2(infinity) is reduced for g >= 2
     violations = []
     points = 0
-    T = ctx.tower
+    T, (f,) = lifted(ctx.tower, curve.f)
     zero, one, neg = T._zero, T._one, T.neg
-    f = tuple(T.lift(curve.f.field, c) for c in curve.f.pc)
     _, _, double, add, negate = _cantor_law(g, T, f)
     for i in range(T.q):
         x = T._from_index(i)

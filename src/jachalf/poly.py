@@ -15,15 +15,19 @@ are thin wrappers around the kernels, from_payloads(F, kernel(...)), and
 code that chains many operations (Cantor composition in jacobian.add, the
 halving formulas and their certificate) runs the kernels directly and
 builds a Poly only for its result.  ``coeffs`` gives the coefficients as
-FieldElements.  Operands over different field objects meet in field.join,
-and equality and hashing go by value.  Degrees stay tiny here (at most
-2g+1), so everything is plain schoolbook arithmetic.
+FieldElements.  lifted(field, *values) is the one lift rule for
+Polys, FieldElements and ints: it joins their field objects in field.join
+and moves every payload to that join with its lift(); Poly construction,
+the operators, xgcd, gcd, from_roots and elementary_symmetric, the
+Jacobian group law and halving all start from it.  Equality and hashing go
+by value.  Degrees stay tiny here (at most 2g+1), so everything is plain
+schoolbook arithmetic.
 """
 
 from __future__ import annotations
 
 from .errors import DivisionByZero
-from .field import FieldElement, join
+from .field import FieldElement, _int_value, join
 
 
 def _trim(cs, z):
@@ -40,14 +44,6 @@ def from_payloads(F, cs):
     poly.field = F
     poly.pc = tuple(_trim(cs, F._zero))
     return poly
-
-
-def common_payloads(*polys):
-    """(F, payload tuples): the polys over F, the join of their fields."""
-    F = polys[0].field
-    for P in polys[1:]:
-        F = join(F, P.field)
-    return F, [P.pc if P.field is F else tuple([F.lift(P.field, c) for c in P.pc]) for P in polys]
 
 
 # -- kernels on payload lists ------------------------------------------------
@@ -120,17 +116,25 @@ def pxgcd(F, a, b):
     return _scale(F, r0, inv), _scale(F, s0, inv), _scale(F, t0, inv)
 
 
-def _payloads(field, values):
-    """(F, payloads) for ints and FieldElements, F being field joined with
-    the field of every FieldElement among the values."""
+def lifted(field, *values):
+    """(F, payloads): the values moved to F, which is field joined with the
+    field of every Poly and FieldElement among them.  A Poly gives its tuple
+    of coefficient payloads, a FieldElement its payload and an int its
+    residue; a bool, a float or any other value raises TypeError."""
     F = field
     for v in values:
+        G = getattr(v, "field", F)
+        if G is not F:
+            F = join(F, G)
+    out = []
+    for v in values:
         if isinstance(v, FieldElement):
-            F = join(F, v.field)
-    return F, [
-        F.lift(v.field, v.payload) if isinstance(v, FieldElement) else F._int_payload(v)
-        for v in values
-    ]
+            out.append(v.payload if v.field is F else F.lift(v.field, v.payload))
+        elif isinstance(v, Poly):
+            out.append(v.pc if v.field is F else tuple([F.lift(v.field, c) for c in v.pc]))
+        else:
+            out.append(F._int_payload(_int_value(v, "field value")))
+    return F, out
 
 
 class Poly:
@@ -140,8 +144,9 @@ class Poly:
 
     def __init__(self, field, coeffs):
         """Coefficients are ints or FieldElements, low-to-high; the polynomial
-        lies over field.tower when any coefficient does."""
-        F, cs = _payloads(field, list(coeffs))
+        lies over their join with field (see lifted), which is field.tower
+        when any coefficient lies there."""
+        F, cs = lifted(field, *coeffs)
         self.field = F
         self.pc = tuple(_trim(cs, F._zero))
 
@@ -168,27 +173,21 @@ class Poly:
     def is_zero(self):
         return not self.pc
 
-    def leading(self):
-        if not self.pc:
-            raise DivisionByZero("zero polynomial has no leading coefficient")
-        return FieldElement(self.field, self.pc[-1])
-
     def is_monic(self):
         return bool(self.pc) and self.pc[-1] == self.field._one
 
     def _pair(self, other):
-        """(H, a, b): both operands as payload tuples over H = join(their fields)."""
+        """(F, (a, b)): both operands as payload tuples over F, from lifted."""
         if isinstance(other, FieldElement):
             other = from_payloads(other.field, (other.payload,))
         elif isinstance(other, int):
             other = from_payloads(self.field, (self.field._int_payload(other),))
         elif not isinstance(other, Poly):
-            return None, None, None
-        F, (a, b) = common_payloads(self, other)
-        return F, a, b
+            return None, (None, None)
+        return lifted(self.field, self, other)
 
     def __add__(self, other):
-        F, a, b = self._pair(other)
+        F, (a, b) = self._pair(other)
         if F is None:
             return NotImplemented
         return from_payloads(F, padd(F, a, b))
@@ -196,7 +195,7 @@ class Poly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        F, a, b = self._pair(other)
+        F, (a, b) = self._pair(other)
         if F is None:
             return NotImplemented
         return from_payloads(F, psub(F, a, b))
@@ -209,7 +208,7 @@ class Poly:
         return from_payloads(F, pneg(F, self.pc))
 
     def __mul__(self, other):
-        F, a, b = self._pair(other)
+        F, (a, b) = self._pair(other)
         if F is None:
             return NotImplemented
         return from_payloads(F, F.polymul(a, b))
@@ -217,7 +216,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __divmod__(self, other):
-        F, a, b = self._pair(other)
+        F, (a, b) = self._pair(other)
         if F is None:
             return NotImplemented
         q, r = pdivmod(F, a, b)
@@ -235,7 +234,7 @@ class Poly:
                 return False
         elif not isinstance(other, int):
             return NotImplemented
-        _, a, b = self._pair(other)
+        _, (a, b) = self._pair(other)
         return a == b
 
     def __hash__(self):
@@ -258,7 +257,7 @@ class Poly:
     def __call__(self, x0):
         """Horner evaluation at a field element or int; compose() substitutes
         a polynomial."""
-        F, a, b = self._pair(x0)
+        F, (a, b) = self._pair(x0)
         if F is None or isinstance(x0, Poly):
             raise TypeError(f"cannot evaluate a polynomial at {x0!r}")
         return FieldElement(F, peval(F, a, b[0] if b else F._zero))
@@ -278,12 +277,12 @@ class Poly:
 
 def xgcd(a, b):
     """Extended gcd with monic result: returns (g, s, t) with s*a + t*b = g."""
-    F, (x, y) = common_payloads(a, b)
+    F, (x, y) = lifted(a.field, a, b)
     return tuple(from_payloads(F, c) for c in pxgcd(F, x, y))
 
 
 def gcd(a, b):
-    F, (x, y) = common_payloads(a, b)
+    F, (x, y) = lifted(a.field, a, b)
     while y:
         x, y = y, pdivmod(F, x, y)[1]
     return from_payloads(F, pmonic(F, x))
@@ -302,11 +301,11 @@ def _symmetric(F, vs):
 
 def from_roots(field, roots):
     """Monic product of linear factors x - r_i, which is sum_j e_j(-r) x^(n-j)."""
-    F, rs = _payloads(field, list(roots))
+    F, rs = lifted(field, *roots)
     return from_payloads(F, _symmetric(F, map(F.neg, rs))[::-1])
 
 
 def elementary_symmetric(field, vals):
     """(s_1, ..., s_n) for the given values."""
-    F, vs = _payloads(field, list(vals))
+    F, vs = lifted(field, *vals)
     return tuple(FieldElement(F, e) for e in _symmetric(F, vs)[1:])

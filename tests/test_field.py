@@ -3,6 +3,7 @@
 import collections
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,6 +72,42 @@ class TestCtxNew:
     def test_ctx_mismatch_between_fields(self, f7, f49):
         with pytest.raises(CtxMismatch):
             f7.from_int(1) + f49.from_int(1)
+
+    @pytest.mark.parametrize("n", [1.5, 2.5, "3", True])
+    def test_from_int_refuses_non_integers(self, f7, n):
+        for field in (f7, f7.tower):
+            with pytest.raises(TypeError, match=re.escape(repr(n))):
+                field.from_int(n)
+        # comparing with any int, a bool included, still gives a bool
+        assert (f7.from_int(1) == True) is True and (f7.from_int(2) == True) is False
+
+
+class TestDegreeOneModulus:
+    """Every monic degree-1 modulus gives F_p itself, as [1] does."""
+
+    MODULI = [[3, 1], [13, 1], [-1, 1]]
+
+    @pytest.mark.parametrize("modulus", MODULI)
+    def test_mixes_with_the_prime_field(self, f7, modulus):
+        c = ctx_new(7, modulus)
+        assert c.modulus == f7.modulus and c.same_field(f7)
+        x, y = f7.from_int(2), c.from_int(3)
+        assert (x + y).encode() == [5] and (x + y).field is f7
+        assert (y * x).encode() == [6] and (y * x).field is c
+        assert (x + c.tower.generator()).field is c.tower
+
+    @pytest.mark.parametrize("modulus", MODULI)
+    def test_equal_values_compare_equal(self, f7, modulus):
+        c = ctx_new(7, modulus)
+        assert c.from_int(4) == f7.from_int(4) and f7.from_int(4) == c.from_int(4)
+        assert c.tower.generator() == f7.tower.generator()
+        assert c.from_int(4) != f7.from_int(5)
+
+    @pytest.mark.parametrize("modulus", MODULI)
+    def test_generator_is_a_root_of_the_modulus(self, modulus):
+        c = ctx_new(7, modulus)
+        t = c.generator()
+        assert sum(m * t**i for i, m in enumerate(c.modulus)) == 0
 
 
 def _monic_moduli(p, k):

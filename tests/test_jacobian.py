@@ -1,6 +1,7 @@
 """Curves, points, and the Cantor group law."""
 
 import random
+import re
 
 import pytest
 
@@ -53,6 +54,11 @@ class TestCurve:
         with pytest.raises(EvenDegree):
             curve_new(f7, [0])
 
+    @pytest.mark.parametrize("root", [2.5, "2", True])
+    def test_non_integer_root_is_refused(self, f7, root):
+        with pytest.raises(TypeError, match=re.escape(repr(root))):
+            curve_new(f7, [0, 1, root])
+
 
 class TestPoint:
     def test_valid_point(self, curve_g1_f7):
@@ -62,6 +68,11 @@ class TestPoint:
     def test_not_on_curve(self, curve_g1_f7):
         with pytest.raises(NotOnCurve):
             Point(curve_g1_f7, 3, 1)  # f(3) = 24 = 3 != 1
+
+    @pytest.mark.parametrize("a, b, bad", [(1, 2.5, 2.5), (4, "2", "2"), (True, 0, True)])
+    def test_non_integer_coordinate_is_refused(self, curve_g1_f7, a, b, bad):
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            Point(curve_g1_f7, a, b)
 
     def test_involution(self, p42):
         q = p42.involution()

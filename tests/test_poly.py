@@ -1,6 +1,7 @@
 """Polynomial arithmetic over field contexts."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +38,14 @@ class TestBasics:
     def test_zero_degree_sentinel(self, ctx):
         assert Poly.zero(ctx).degree() == -1
         assert Poly.zero(ctx).is_zero()
+
+    @pytest.mark.parametrize("c", [1.5, "2", True])
+    def test_non_integer_coefficient_is_refused(self, ctx, c):
+        for field in (ctx, ctx.tower):
+            with pytest.raises(TypeError, match=re.escape(repr(c))):
+                Poly(field, [c, 1])
+        # comparing with any int, a bool included, still gives a bool
+        assert (Poly(ctx, [1]) == True) is True and (Poly(ctx, [1, 1]) == True) is False
 
     def test_monic(self, ctx):
         q = Poly(ctx, [2, 4]).monic()
