@@ -158,6 +158,10 @@ class TestGroup:
         code, _, err = run(capsys, ["group", "--curve", g1_curve_file, "add"])
         assert code == 2 and err
 
+    def test_mul_without_scalar_is_exit_2(self, capsys, g1_curve_file):
+        code, out, err = run(capsys, ["group", "--curve", g1_curve_file, "mul", "--point", "4,2"])
+        assert code == 2 and out == "" and "--scalar" in err
+
 
 class TestCheck:
     def test_divisible_by_two(self, capsys, g1_curve_file):
@@ -203,6 +207,11 @@ class TestCheck:
         assert code == 2 and out == ""
         assert "[[0, 1], [1, 0], [6, 0]]" in err
 
+    @pytest.mark.parametrize("which", ["divisible-by-2", "all-rational"])
+    def test_point_at_infinity_is_exit_4(self, capsys, g1_curve_file, which):
+        code, out, err = run(capsys, ["check", "--curve", g1_curve_file, "--point", "inf", which])
+        assert code == 4 and out == "" and err.startswith("error:")
+
 
 class TestTorsionScan:
     def test_g2_scan_clean(self, capsys, g2_curve_file):
@@ -237,6 +246,13 @@ class TestParsing:
         path.write_text(json.dumps({"p": 15, "modulus": [1], "roots": [[0], [1], [2]]}))
         code, _, err = run(capsys, ["halve", "--curve", str(path), "--point", "1,0"])
         assert code == 2 and err
+
+    def test_root_with_more_than_k_coefficients_is_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"p": 7, "modulus": [1], "roots": [[0, 1], [1], [6]]}))
+        code, out, err = run(capsys, ["halve", "--curve", str(path), "--point", "1,0"])
+        assert code == 2 and out == ""
+        assert str(path) in err and "at most 1 coefficients" in err
 
     def test_non_integer_p_is_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

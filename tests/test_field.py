@@ -2,6 +2,7 @@
 
 import collections
 import itertools
+import operator
 import random
 import re
 
@@ -209,6 +210,41 @@ class TestArithmetic:
     def test_division_by_zero(self, f7):
         with pytest.raises(DivisionByZero):
             f7.from_int(1) / f7.from_int(0)
+
+    @pytest.mark.parametrize("name", ["f49t", "tower of F_7", "f27"])
+    def test_inverse_of_zero(self, f7, f49t, f27, name):
+        # F_{p^2} and the tower of F_p on _quadratic, and F_{p^3}
+        field = {"f49t": f49t, "tower of F_7": f7.tower, "f27": f27}[name]
+        with pytest.raises(DivisionByZero):
+            field.zero().inverse()
+        with pytest.raises(DivisionByZero):
+            1 / field.zero()
+
+    @pytest.mark.parametrize(
+        "op, other",
+        [(operator.add, "a"), (operator.sub, 1.5), (operator.mul, None), (operator.truediv, [])],
+    )
+    def test_foreign_operand_raises_type_error(self, f7, f49, op, other):
+        for x in (f7.from_int(3), f49.generator(), f7.tower.generator()):
+            with pytest.raises(TypeError):
+                op(x, other)
+            with pytest.raises(TypeError):
+                op(other, x)
+
+    def test_equality_with_foreign_values(self, f7, f49):
+        x = f7.from_int(3)
+        assert (x == "a") is False and (x != "a") is True
+        assert x != ctx_new(11, [1]).from_int(3) and x != f49.from_int(3)
+        assert not (f49.generator() == ctx_new(7, [3, 1, 1]).generator())
+
+    def test_reflected_operators(self, f7, f49):
+        x = f7.from_int(5)
+        assert 3 - x == 5 and (3 - x).field is f7  # 3 - 5 = -2
+        assert 3 / x == 2  # 5^-1 = 3
+        t = f49.generator()
+        assert 3 - t == f49.from_coeffs([3, 6]) and 1 / t == -t  # t^2 = -1
+        assert bool(x) and not bool(f7.zero()) and not bool(f49.tower.zero())
+        assert bool(f7.tower.generator())
 
     def test_pow_negative_exponent(self, f49):
         x = f49.generator() + 2
@@ -494,6 +530,12 @@ class TestEncoding:
     def test_quad_demotes_on_encode(self, f7):
         x = f7.tower.from_int(4)
         assert x.encode() == [4]
+
+    def test_quad_form_with_zero_u_decodes_to_base(self, f7, f49):
+        x = f7.decode([[3], [0]])
+        assert x.field is f7 and x == 3
+        y = f49.decode([[3, 1], [0, 0]])
+        assert y.field is f49 and y == f49.from_coeffs([3, 1])
 
     def test_quad_roundtrip(self, f7):
         u = f7.tower.generator()

@@ -299,6 +299,21 @@ class TestRecoverTuple:
         with pytest.raises(NotAHalf):
             recover_tuple(half.divisor, point=p42, s1=half.s[0])
 
+    def test_bare_divisor_needs_s1(self, p10):
+        half = halve(p10)[0]
+        with pytest.raises(ValueError, match="s_1"):
+            recover_tuple(half.divisor, point=p10)
+        with pytest.raises(ValueError, match="s_1"):
+            recover_tuple(half.divisor, s1=half.s[0])
+
+    def test_point_at_infinity_is_refused(self, p10):
+        half = halve(p10)[0]
+        inf = Point.infinity(p10.curve)
+        with pytest.raises(InfinityInput):
+            recover_tuple(half.divisor, point=inf, s1=half.s[0])
+        with pytest.raises(InfinityInput):
+            recover_tuple(half, point=inf)
+
     def test_doubling_check_guards_recovery(self, curve_g1_f7, p42):
         ctx = curve_g1_f7.ctx
         d = to_class(Point(curve_g1_f7, 1, 0))  # 2-torsion, not a half of (4, 2)

@@ -87,6 +87,20 @@ class TestPoint:
         assert p10.is_weierstrass()
         assert p10.involution() == p10
 
+    def test_equal_points_collapse_in_a_set(self, curve_g1_f7):
+        tower = curve_g1_f7.ctx.tower
+        p = Point(curve_g1_f7, 4, 2)
+        q = Point(curve_g1_f7, tower.from_int(4), tower.from_int(2))  # values in F_7
+        assert q.a.field is tower and p == q and hash(p) == hash(q)
+        inf = Point.infinity(curve_g1_f7)
+        assert inf == Point.infinity(curve_g1_f7) and p != inf
+        assert len({p, q, p.involution(), inf, Point.infinity(curve_g1_f7)}) == 3
+
+    def test_points_on_two_curves_differ(self, curve_g1_f7, f7):
+        other = curve_new(f7, [0, 1, 2])  # (0, 0) lies on both
+        assert Point(curve_g1_f7, 0, 0) != Point(other, 0, 0)
+        assert Point.infinity(curve_g1_f7) != Point.infinity(other)
+
 
 class TestMumford:
     def test_to_class_infinity(self, curve_g1_f7):
@@ -112,6 +126,30 @@ class TestMumford:
         ctx = curve_g1_f7.ctx
         with pytest.raises(InvalidDivisor):
             MumfordDivisor(curve_g1_f7, Poly(ctx, [3, 1]), Poly(ctx, [3]))
+
+    def test_validate_rejects_nonzero_v_over_one(self, curve_g1_f7):
+        ctx = curve_g1_f7.ctx
+        with pytest.raises(InvalidDivisor, match="zero class"):
+            MumfordDivisor(curve_g1_f7, Poly(ctx, [1]), Poly(ctx, [2]))
+
+    def test_validate_rejects_v_of_degree_deg_u(self, curve_g1_f7):
+        ctx = curve_g1_f7.ctx
+        with pytest.raises(InvalidDivisor, match="deg V"):
+            MumfordDivisor(curve_g1_f7, Poly(ctx, [3, 1]), Poly(ctx, [2, 1]))
+
+    def test_equal_classes_collapse_in_a_set(self, p42):
+        curve = p42.curve
+        tower = curve.ctx.tower
+        d = to_class(p42)
+        e = to_class(Point(curve, tower.from_int(4), tower.from_int(2)))
+        assert e.U.field is tower and d == e and hash(d) == hash(e)
+        z = zero_class(curve)
+        assert len({d, e, double(d), negate(d), z, scalar_mul(4, d)}) == 4
+
+    def test_classes_on_two_curves_differ(self, curve_g1_f7, f7):
+        other = curve_new(f7, [0, 1, 2])
+        assert to_class(Point(curve_g1_f7, 0, 0)) != to_class(Point(other, 0, 0))
+        assert zero_class(curve_g1_f7) != zero_class(other)
 
     def test_encode_roundtrip(self, p42):
         d = to_class(p42)

@@ -1,5 +1,6 @@
 """Polynomial arithmetic over field contexts."""
 
+import operator
 import random
 import re
 
@@ -55,6 +56,31 @@ class TestBasics:
         # (x-4)^2 = x^2 - x + 2 over F_7
         xm4 = Poly(ctx, [-4, 1])
         assert xm4 * xm4 == Poly(ctx, [2, -1, 1])
+
+    @pytest.mark.parametrize(
+        "op, other",
+        [(operator.add, "a"), (operator.sub, 1.5), (operator.mul, None), (operator.truediv, [])],
+    )
+    def test_foreign_operand_raises_type_error(self, ctx, op, other):
+        for p in (Poly(ctx, [3, 1]), Poly(ctx.tower, [ctx.tower.generator(), 1])):
+            with pytest.raises(TypeError):
+                op(p, other)
+            with pytest.raises(TypeError):
+                op(other, p)
+
+    def test_equality_with_foreign_values(self, ctx):
+        p = Poly(ctx, [3, 1])
+        assert (p == "a") is False and (p != "a") is True
+        assert p != Poly(ctx_new(11, [1]), [3, 1]) and Poly(ctx, [3]) != ctx_new(11, [1]).from_int(3)
+
+    def test_reflected_operators(self, ctx):
+        p = Poly(ctx, [1, 1])
+        assert 3 - p == Poly(ctx, [2, -1]) and (3 - p).field is ctx
+        assert ctx.from_int(3) - p == Poly(ctx, [2, -1])
+        xm4 = Poly(ctx, [-4, 1])
+        square = Poly(ctx, [2, -1, 1])  # (x - 4)^2
+        assert square // xm4 == xm4 and (square % xm4).is_zero()
+        assert (square + 1) // xm4 == xm4 and square // 2 == Poly(ctx, [1, 3, 4])
 
     def test_mixed_operands_across_two_contexts(self):
         # two context objects for the same field F_7; u^2 = v^2 = 3

@@ -10,6 +10,7 @@ from jachalf.halving import halve
 from jachalf.jacobian import Point, curve_new
 from jachalf.rationality import (
     all_halves_rational,
+    all_halves_rational_report,
     class_is_rational,
     divisible_by_two,
     divisible_by_two_report,
@@ -85,6 +86,14 @@ class TestAllHalvesRational:
     def test_nonrational_root_fails(self, curve_g2_f49):
         p = affine_points(curve_g2_f49, prime_only=True)[0]
         assert all_halves_rational(p) is False  # roots t, -t are outside F_7
+
+    def test_report_names_the_root_outside_the_prime_field(self, curve_g2_f49):
+        # 1 - 0, 1 - 1 and 1 - 6 are squares mod 7; the fourth root t is not in F_7
+        report = all_halves_rational_report(Point(curve_g2_f49, 1, 0))
+        assert report == {
+            "result": False,
+            "witness": {"root_index": 3, "reason": "root-not-in-prime-field"},
+        }
 
     def test_rejects_nonrational_point(self, curve_g2_f49):
         t = curve_g2_f49.ctx.generator()
