@@ -16,7 +16,7 @@ import contextlib
 import json
 import sys
 
-from .errors import InfinityInput, JachalfError, ParseError
+from .errors import InfinityInput, InvalidDivisor, JachalfError, ParseError
 from .field import ctx_new
 from .poly import Poly
 from .jacobian import (
@@ -107,7 +107,11 @@ def parse_point(curve, text):
 
 
 def load_divisor(curve, path):
-    return parse_divisor(curve, _read_json(path, "divisor file"))
+    data = _read_json(path, "divisor file")
+    try:
+        return parse_divisor(curve, data)
+    except (InvalidDivisor, ParseError) as exc:
+        raise type(exc)(f"divisor file {path}: {exc}") from exc
 
 
 def parse_divisor(curve, data):

@@ -51,7 +51,11 @@ A FieldElement holds the field object of its payload.  Two operands meet
 in join(F, G), the one rule for mixing field objects: the tower when
 exactly one side is a tower, else F; each side's payload is then moved
 there by that field's lift(); poly.lifted applies the same rule to any
-number of values.  Equality, hashing and encode() go by value;
+number of values.  The binary operators of FieldElement and poly.Poly are
+one rule, _binary(op, build): the class's _pair gives both operands as
+payloads x, y over one field object F, and the result is
+build(F, op(F, x, y)); an operand _pair does not take gives NotImplemented.
+Equality, hashing and encode() go by value;
 a value in F_p hashes like its int in [0, p).  All values are immutable.
 """
 
@@ -715,6 +719,30 @@ def join(F, G):
     return G if G.tower is G and F.tower is not F else F
 
 
+def _binary(op, build):
+    """The binary operator method of a value class: self._pair(other) gives
+    both operands as payloads x, y over one field object F, and the result
+    is build(F, op(F, x, y)); an operand _pair does not take (F is None)
+    gives NotImplemented, so Python tries the reflected operator."""
+
+    def method(self, other):
+        F, x, y = self._pair(other)
+        if F is None:
+            return NotImplemented
+        return build(F, op(F, x, y))
+
+    return method
+
+
+def _rsub(self, other):
+    """other - self, as (-self) + other."""
+    return (-self).__add__(other)
+
+
+def _element(F, x):
+    return FieldElement(F, x)
+
+
 class FieldElement:
     """Immutable element of a base field F_q or of its tower F_{q^2}."""
 
@@ -739,30 +767,12 @@ class FieldElement:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other):
-        F, x, y = self._pair(other)
-        if F is None:
-            return NotImplemented
-        return FieldElement(F, F.add(x, y))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        F, x, y = self._pair(other)
-        if F is None:
-            return NotImplemented
-        return FieldElement(F, F.sub(x, y))
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
-        F, x, y = self._pair(other)
-        if F is None:
-            return NotImplemented
-        return FieldElement(F, F.mul(x, y))
-
-    __rmul__ = __mul__
+    __add__ = __radd__ = _binary(lambda F, x, y: F.add(x, y), _element)
+    __sub__ = _binary(lambda F, x, y: F.sub(x, y), _element)
+    __rsub__ = _rsub
+    __mul__ = __rmul__ = _binary(lambda F, x, y: F.mul(x, y), _element)
+    __truediv__ = _binary(lambda F, x, y: F.mul(x, F.inv(y)), _element)
+    __rtruediv__ = _binary(lambda F, x, y: F.mul(y, F.inv(x)), _element)
 
     def __neg__(self):
         F = self.field
@@ -772,16 +782,8 @@ class FieldElement:
         F = self.field
         return FieldElement(F, F.inv(self.payload))
 
-    def __truediv__(self, other):
-        F, x, y = self._pair(other)
-        if F is None:
-            return NotImplemented
-        return FieldElement(F, F.mul(x, F.inv(y)))
-
-    def __rtruediv__(self, other):
-        return self.inverse().__mul__(other)
-
     def __pow__(self, e):
+        e = _int_value(e, "exponent")
         if e < 0:
             return self.inverse() ** (-e)
         F = self.field

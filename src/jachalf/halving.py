@@ -44,7 +44,7 @@ from .poly import (
     pneg,
     psub,
 )
-from .jacobian import MumfordDivisor
+from .jacobian import _divisor
 
 # halving refuses a curve of higher genus; `jachalf halve` at g = 7 and g = 8
 # took 2.9 s / 82 MiB and 13.8 s / 313 MiB on one Xeon core (Python 3.11)
@@ -198,7 +198,7 @@ def mumford_from_tuple(tup, verify=True):
         reason = _half_failure(F, g, f, U, V, a, b, s1)
         if reason:
             raise InternalInvariantViolation(f"formula output is not a half: {reason}")
-    divisor = MumfordDivisor(curve, from_payloads(F, U), from_payloads(F, V), validate=False)
+    divisor = _divisor(curve, F, U, V)
     return HalfClass(divisor, tup, tuple(FieldElement(F, e) for e in s), from_payloads(F, v))
 
 

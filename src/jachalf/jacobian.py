@@ -72,7 +72,12 @@ SCAN_LIMIT = 10**6
 
 
 class Curve:
-    """y^2 = f(x) = prod (x - alpha_i) with 2g+1 distinct roots, odd char."""
+    """y^2 = f(x) = prod (x - alpha_i) with 2g+1 distinct roots, odd char.
+
+    The roots lie in F_q, the field of ctx: an int is read there, a tower
+    value that lies in F_q is stored over its base, and any other value
+    raises CtxMismatch naming the root.
+    """
 
     __slots__ = ("ctx", "g", "roots", "f")
 
@@ -81,8 +86,13 @@ class Curve:
         for r in roots:
             if not isinstance(r, FieldElement):
                 r = ctx.from_int(r)
-            elif not ctx.same_field(r.field.base):
-                raise CtxMismatch("root from a different context")
+            else:
+                F, x = r._lowest()
+                if F.tower is F or not ctx.same_field(F):
+                    raise CtxMismatch(
+                        f"root {r.encode()} does not lie in the curve's field F_{ctx.p}^{ctx.k}"
+                    )
+                r = FieldElement(F, x)
             rs.append(r)
         if len(rs) % 2 == 0:
             raise EvenDegree("need an odd number of roots (degree 2g+1 model)")
@@ -183,19 +193,24 @@ class MumfordDivisor:
             self.validate()
 
     def validate(self):
+        """Raise InvalidDivisor, naming the pair, unless (U, V) is reduced."""
         U, V, curve = self.U, self.V, self.curve
+
+        def invalid(why):
+            return InvalidDivisor(f"(U, V) = ({U.encode()}, {V.encode()}): {why}")
+
         if U.is_zero() or not U.is_monic():
-            raise InvalidDivisor("U must be monic and nonzero")
+            raise invalid("U must be monic and nonzero")
         if U.degree() > curve.g:
-            raise InvalidDivisor(f"deg U = {U.degree()} exceeds genus {curve.g}")
+            raise invalid(f"deg U = {U.degree()} exceeds genus {curve.g}")
         if U.degree() == 0:
             if not V.is_zero():
-                raise InvalidDivisor("the zero class is exactly (1, 0)")
+                raise invalid("the zero class is exactly (1, 0)")
             return
         if V.degree() >= U.degree():
-            raise InvalidDivisor("deg V must be smaller than deg U")
+            raise invalid("deg V must be smaller than deg U")
         if not ((V * V - curve.f) % U).is_zero():
-            raise InvalidDivisor("U does not divide V^2 - f")
+            raise invalid("U does not divide V^2 - f")
 
     def is_zero(self):
         return self.U.degree() == 0

@@ -10,9 +10,11 @@ and reduce mod p once per coefficient; division and monic skip the
 inversion when the leading coefficient is 1.
 
 A Poly holds its field object and a tuple of coefficient payloads; the zero
-polynomial has an empty tuple and degree -1.  Its operators, xgcd and gcd
-are thin wrappers around the kernels, from_payloads(F, kernel(...)), and
-code that chains many operations (Cantor composition in jacobian.add, the
+polynomial has an empty tuple and degree -1.  Its +, - and * follow the
+one operator rule of field.py, _binary(kernel, from_payloads), on the
+payload tuples that Poly._pair gives; divmod, xgcd and gcd are
+from_payloads(F, kernel(...)) too, gcd being the first part of pxgcd.
+Code that chains many operations (Cantor composition in jacobian.add, the
 halving formulas and their certificate) runs the kernels directly and
 builds a Poly only for its result.  ``coeffs`` gives the coefficients as
 FieldElements.  lifted(field, *values) is the one lift rule for
@@ -27,7 +29,7 @@ schoolbook arithmetic.
 from __future__ import annotations
 
 from .errors import DivisionByZero
-from .field import FieldElement, _int_value, join
+from .field import FieldElement, _binary, _int_value, _rsub, join
 
 
 def _trim(cs, z):
@@ -177,46 +179,27 @@ class Poly:
         return bool(self.pc) and self.pc[-1] == self.field._one
 
     def _pair(self, other):
-        """(F, (a, b)): both operands as payload tuples over F, from lifted."""
+        """(F, a, b): both operands as payload tuples over F, from lifted."""
         if isinstance(other, FieldElement):
             other = from_payloads(other.field, (other.payload,))
         elif isinstance(other, int):
             other = from_payloads(self.field, (self.field._int_payload(other),))
         elif not isinstance(other, Poly):
-            return None, (None, None)
-        return lifted(self.field, self, other)
+            return None, None, None
+        F, (a, b) = lifted(self.field, self, other)
+        return F, a, b
 
-    def __add__(self, other):
-        F, (a, b) = self._pair(other)
-        if F is None:
-            return NotImplemented
-        return from_payloads(F, padd(F, a, b))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        F, (a, b) = self._pair(other)
-        if F is None:
-            return NotImplemented
-        return from_payloads(F, psub(F, a, b))
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
+    __add__ = __radd__ = _binary(padd, from_payloads)
+    __sub__ = _binary(psub, from_payloads)
+    __rsub__ = _rsub
+    __mul__ = __rmul__ = _binary(lambda F, a, b: F.polymul(a, b), from_payloads)
 
     def __neg__(self):
         F = self.field
         return from_payloads(F, pneg(F, self.pc))
 
-    def __mul__(self, other):
-        F, (a, b) = self._pair(other)
-        if F is None:
-            return NotImplemented
-        return from_payloads(F, F.polymul(a, b))
-
-    __rmul__ = __mul__
-
     def __divmod__(self, other):
-        F, (a, b) = self._pair(other)
+        F, a, b = self._pair(other)
         if F is None:
             return NotImplemented
         q, r = pdivmod(F, a, b)
@@ -234,7 +217,7 @@ class Poly:
                 return False
         elif not isinstance(other, int):
             return NotImplemented
-        _, (a, b) = self._pair(other)
+        _, a, b = self._pair(other)
         return a == b
 
     def __hash__(self):
@@ -257,7 +240,7 @@ class Poly:
     def __call__(self, x0):
         """Horner evaluation at a field element or int; compose() substitutes
         a polynomial."""
-        F, (a, b) = self._pair(x0)
+        F, a, b = self._pair(x0)
         if F is None or isinstance(x0, Poly):
             raise TypeError(f"cannot evaluate a polynomial at {x0!r}")
         return FieldElement(F, peval(F, a, b[0] if b else F._zero))
@@ -282,10 +265,9 @@ def xgcd(a, b):
 
 
 def gcd(a, b):
+    """The monic gcd of a and b, the first part of pxgcd."""
     F, (x, y) = lifted(a.field, a, b)
-    while y:
-        x, y = y, pdivmod(F, x, y)[1]
-    return from_payloads(F, pmonic(F, x))
+    return from_payloads(F, pxgcd(F, x, y)[0])
 
 
 def _symmetric(F, vs):

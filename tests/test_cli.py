@@ -154,6 +154,26 @@ class TestGroup:
         )
         assert code == 3 and err
 
+    def test_invalid_divisor_names_the_file_and_the_pair(self, capsys, g1_curve_file, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"U": [[3], [1]], "V": [[3]]}))
+        code, out, err = run(
+            capsys, ["group", "--curve", g1_curve_file, "double", "--divisor", str(bad)]
+        )
+        assert code == 3 and out == ""
+        assert err == (
+            f"error: divisor file {bad}: (U, V) = ([[3], [1]], [[3]]): U does not divide V^2 - f\n"
+        )
+
+    def test_malformed_divisor_names_the_file(self, capsys, g1_curve_file, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"V": []}))
+        code, out, err = run(
+            capsys, ["group", "--curve", g1_curve_file, "neg", "--divisor", str(bad)]
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: divisor file {bad}:") and "missing field 'U'" in err
+
     def test_wrong_operand_count_is_exit_2(self, capsys, g1_curve_file):
         code, _, err = run(capsys, ["group", "--curve", g1_curve_file, "add"])
         assert code == 2 and err
@@ -253,6 +273,17 @@ class TestParsing:
         code, out, err = run(capsys, ["halve", "--curve", str(path), "--point", "1,0"])
         assert code == 2 and out == ""
         assert str(path) in err and "at most 1 coefficients" in err
+
+    @pytest.mark.parametrize(
+        "argv", [["halve", "--point", "0,0"], ["torsion-scan", "--max-order", "4"]]
+    )
+    def test_root_in_the_tower_is_exit_2(self, capsys, tmp_path, argv):
+        # u with u^2 = 3 lies in F_49, not in the field of definition F_7
+        path = tmp_path / "tower.json"
+        path.write_text(json.dumps({"p": 7, "modulus": [1], "roots": [[0], [1], [[0], [1]]]}))
+        code, out, err = run(capsys, [argv[0], "--curve", str(path), *argv[1:]])
+        assert code == 2 and out == ""
+        assert err.startswith("error: root [[0], [1]]") and "F_7^1" in err
 
     def test_non_integer_p_is_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -246,9 +246,22 @@ class TestArithmetic:
         assert bool(x) and not bool(f7.zero()) and not bool(f49.tower.zero())
         assert bool(f7.tower.generator())
 
+    def test_foreign_operand_over_zero_is_a_type_error(self, f7):
+        with pytest.raises(TypeError):
+            [] / f7.zero()
+        with pytest.raises(DivisionByZero):
+            3 / f7.zero()
+
     def test_pow_negative_exponent(self, f49):
         x = f49.generator() + 2
         assert x ** (-3) == (x**3).inverse()
+
+    @pytest.mark.parametrize("e", [2.5, "2", True, None])
+    def test_non_integer_exponent_is_refused(self, f7, f49, e):
+        for x in (f7.from_int(3), f49.generator() + 2, f7.tower.generator()):
+            with pytest.raises(TypeError, match=f"exponent must be an integer, got {re.escape(repr(e))}"):
+                x**e
+            assert x**2 == x * x and x**-1 == 1 / x and x**0 == 1
 
     def test_cross_level_coercion(self, f49):
         x = f49.from_int(3)

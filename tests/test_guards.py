@@ -4,7 +4,10 @@ benchmark's trace layers and the README's code blocks."""
 import importlib
 import importlib.util
 import re
+import shlex
 from pathlib import Path
+
+from jachalf.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -43,3 +46,21 @@ def test_readme_python_blocks_run():
     namespace = {}
     for i, block in enumerate(blocks):
         exec(compile(block, f"README.md python block {i + 1}", "exec"), namespace)
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    """The README's sh block of jachalf commands runs in an empty directory:
+    its heredocs write the input files, and each jachalf line exits 0 and
+    writes output."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.S | re.M)
+    blocks = [b for b in blocks if re.search(r"^jachalf ", b, flags=re.M)]
+    assert blocks
+    monkeypatch.chdir(tmp_path)
+    for block in blocks:
+        for name, body in re.findall(r"^cat > (\S+) <<'EOF'\n(.*?)^EOF$", block, flags=re.S | re.M):
+            (tmp_path / name).write_text(body)
+        for line in re.findall(r"^jachalf (.*)$", block, flags=re.M):
+            code = main(shlex.split(line, comments=True))
+            out = capsys.readouterr().out
+            assert code == 0 and out, line

@@ -7,6 +7,7 @@ import pytest
 
 from jachalf import jacobian
 from jachalf.errors import (
+    CtxMismatch,
     CurveMismatch,
     DuplicateRoot,
     EvenDegree,
@@ -58,6 +59,21 @@ class TestCurve:
     def test_non_integer_root_is_refused(self, f7, root):
         with pytest.raises(TypeError, match=re.escape(repr(root))):
             curve_new(f7, [0, 1, root])
+
+    def test_tower_root_with_a_base_value_is_stored_over_the_context(self, f7):
+        curve = curve_new(f7, [f7.tower.from_int(2), 0, 1])
+        assert curve.f.field is f7 and all(r.field is f7 for r in curve.roots)
+        assert curve.f == curve_new(f7, [2, 0, 1]).f
+
+    def test_root_outside_the_field_of_definition_is_refused(self, f7, f49):
+        for root, named in [
+            (f7.tower.generator(), "[[0], [1]]"),
+            (f7.tower.generator() + 3, "[[3], [1]]"),
+            (f49.generator(), "[0, 1]"),
+            (ctx_new(11, [1]).from_int(5), "[5]"),
+        ]:
+            with pytest.raises(CtxMismatch, match=re.escape(f"root {named}")):
+                curve_new(f7, [0, 1, root])
 
 
 class TestPoint:
@@ -136,6 +152,22 @@ class TestMumford:
         ctx = curve_g1_f7.ctx
         with pytest.raises(InvalidDivisor, match="deg V"):
             MumfordDivisor(curve_g1_f7, Poly(ctx, [3, 1]), Poly(ctx, [2, 1]))
+
+    def test_every_refusal_names_the_pair(self, curve_g1_f7):
+        ctx = curve_g1_f7.ctx
+        cases = [  # U, V, the reason
+            ([1, 2], [], "U must be monic and nonzero"),
+            ([], [], "U must be monic and nonzero"),
+            ([0, 0, 1], [], "deg U = 2 exceeds genus 1"),
+            ([1], [2], "the zero class is exactly (1, 0)"),
+            ([3, 1], [2, 1], "deg V must be smaller than deg U"),
+            ([3, 1], [3], "U does not divide V^2 - f"),
+        ]
+        for u, v, why in cases:
+            U, V = Poly(ctx, u), Poly(ctx, v)
+            message = f"(U, V) = ({U.encode()}, {V.encode()}): {why}"
+            with pytest.raises(InvalidDivisor, match=f"^{re.escape(message)}$"):
+                MumfordDivisor(curve_g1_f7, U, V)
 
     def test_equal_classes_collapse_in_a_set(self, p42):
         curve = p42.curve

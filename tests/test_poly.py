@@ -7,6 +7,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jachalf import poly
 from jachalf.errors import DivisionByZero
 from jachalf.field import ctx_new
 from jachalf.poly import (
@@ -193,6 +194,16 @@ class TestXgcd:
     def test_gcd_of_shared_factor(self, ctx):
         shared = Poly(ctx, [3, 1])
         assert gcd(shared * Poly(ctx, [1, 1]), shared * Poly(ctx, [2, 1])) == shared
+
+    def test_gcd_runs_on_the_kernel(self, ctx, monkeypatch):
+        # a trace of gcd shows no xgcd span inside it
+        def traced_xgcd(a, b):
+            raise AssertionError("gcd called the public xgcd")
+
+        monkeypatch.setattr(poly, "xgcd", traced_xgcd)
+        a, b = Poly(ctx, [6, 5, 1]), Poly(ctx, [6, 1])  # (x + 3)(x + 2) and x - 1
+        assert gcd(a, b) == 1 and gcd(a, Poly(ctx, [4, 2])) == Poly(ctx, [2, 1])
+        assert gcd(Poly.zero(ctx), Poly.zero(ctx)).is_zero()
 
 
 class TestEval:
