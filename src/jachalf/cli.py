@@ -4,6 +4,9 @@ Subcommands: halve, group, check, torsion-scan, selftest.  All results are
 emitted as JSON lines with sorted keys, so output is byte-deterministic for
 fixed inputs.
 
+In-process callers share one parser: the first main() call builds it and
+every later call reuses it.  build_parser() still returns a fresh one.
+
 Exit codes: 0 on success, 1 for a failed selftest or an internal error (a
 library bug, never an input error), and otherwise the ``exit_code`` that the
 raised error's class declares in errors.py, which lists what each code means.
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
@@ -273,9 +277,13 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except JachalfError as exc:

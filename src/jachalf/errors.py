@@ -89,6 +89,12 @@ class FieldTooLarge(JachalfError):
     exit_code = 5
 
 
+class MaxOrderTooSmall(JachalfError, ValueError):
+    """A torsion scan's max order is below 3, the smallest order it checks."""
+
+    exit_code = 2
+
+
 class InfinityInput(JachalfError):
     """The point at infinity is not accepted here."""
 

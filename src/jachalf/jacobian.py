@@ -48,6 +48,7 @@ from .errors import (
     FieldTooLarge,
     InternalInvariantViolation,
     InvalidDivisor,
+    MaxOrderTooSmall,
     NotOnCurve,
 )
 from .field import FieldElement, _int_value
@@ -127,7 +128,11 @@ def curve_new(ctx, roots):
 
 
 class Point:
-    """Affine point (a, b) with b^2 = f(a), or the single point at infinity."""
+    """Affine point (a, b) with b^2 = f(a), or the single point at infinity.
+
+    The coordinates lie in F_q or its tower; one of another field raises
+    CtxMismatch naming it, a message built only when b^2 = f(a) fails.
+    """
 
     __slots__ = ("curve", "a", "b", "infinite")
 
@@ -143,7 +148,18 @@ class Point:
             a = ctx.from_int(a)
         if not isinstance(b, FieldElement):
             b = ctx.from_int(b)
-        if b * b != curve.f(a):
+        try:
+            on_curve = b * b == curve.f(a)
+        except CtxMismatch:
+            on_curve = False
+        if not on_curve:
+            for name, c in (("a", a), ("b", b)):
+                B = c.field.base
+                if not ctx.same_field(B):
+                    raise CtxMismatch(
+                        f"coordinate {name} = {c.encode()} of F_{B.p}^{B.k} does not "
+                        f"lie in the curve's field F_{ctx.p}^{ctx.k}"
+                    )
             raise NotOnCurve(f"b^2 != f(a) for a={a.encode()}, b={b.encode()}")
         self.a = a
         self.b = b
@@ -610,17 +626,22 @@ def torsion_scan(curve, n_max):
     multiples mP for m <= ceil(hi/2) are built.  nP = 0 exactly when
     ceil(n/2) P = -floor(n/2) P, which compares reduced pairs, unique per
     class, by value.  One sqrt per x-value both tests f(x) for a square and
-    roots it, and one squaring checks the root.  A scan whose work estimate
-    q^2 * k^2 * g * max(hi, 2) / 2 exceeds SCAN_LIMIT is refused with
-    FieldTooLarge before any square root: q^2 = |T| counts the x-values,
+    roots it, and one squaring checks the root.  A max order below 3 is
+    refused with MaxOrderTooSmall at every genus, and a scan whose work
+    estimate q^2 * k^2 * g * hi / 2 exceeds SCAN_LIMIT with FieldTooLarge,
+    both before any square root: q^2 = |T| counts the x-values,
     k^2 = [F_q : F_p]^2 weighs the cost of one tower operation, and the
     rest counts the multiples, so the estimate is q^2 k^2 g^2 at hi = 2g.
     Returns {"points_scanned": int, "violations": [...]}.
     """
     n_max = _int_value(n_max, "max order")
+    if n_max < 3:
+        raise MaxOrderTooSmall(
+            f"max order {n_max} is below 3, the smallest order a scan checks"
+        )
     ctx, g = curve.ctx, curve.g
-    hi = min(n_max, 2 * g) if g > 1 else 2
-    work = ctx.q2 * ctx.k**2 * g * max(hi, 2) // 2
+    hi = min(n_max, 2 * g)  # 2 at g = 1, as n_max >= 3
+    work = ctx.q2 * ctx.k**2 * g * hi // 2
     if work > SCAN_LIMIT:
         raise FieldTooLarge(
             f"a scan of the {ctx.q2}-element tower field of degree {2 * ctx.k} "

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from jachalf import cli
 from jachalf.cli import main
 from jachalf.errors import InternalInvariantViolation
 
@@ -248,6 +249,84 @@ class TestTorsionScan:
         )
         code, _, err = run(capsys, ["torsion-scan", "--curve", str(path)])
         assert code == 5 and err
+
+    @pytest.mark.parametrize("n_max", ["-3", "0", "1", "2"])
+    @pytest.mark.parametrize("genus", [1, 2])
+    def test_max_order_below_3_is_exit_2(
+        self, capsys, g1_curve_file, g2_curve_file, genus, n_max
+    ):
+        path = g1_curve_file if genus == 1 else g2_curve_file
+        code, out, err = run(capsys, ["torsion-scan", "--curve", path, "--max-order", n_max])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: max order {n_max} is below 3")
+
+
+class TestSharedParser:
+    """main() parses with one parser per process, built on its first call."""
+
+    @staticmethod
+    def first_call(capsys, argv):
+        """The result of argv run as the first call of a process."""
+        cli._parser.cache_clear()
+        return run(capsys, argv)
+
+    def test_parser_is_built_once(self, capsys, monkeypatch, g1_curve_file):
+        built, build = [], cli.build_parser
+
+        def build_parser():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", build_parser)
+        cli._parser.cache_clear()
+        for argv in (
+            ["halve", "--curve", g1_curve_file, "--point", "1,0"],
+            ["check", "--curve", g1_curve_file, "--point", "1,0", "divisible-by-2"],
+            ["torsion-scan", "--curve", g1_curve_file],
+        ):
+            assert run(capsys, argv)[0] == 0
+        assert len(built) == 1
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_no_state_crosses_calls(self, capsys, g1_curve_file, tmp_path):
+        d1 = tmp_path / "d1.json"
+        d1.write_text(json.dumps({"U": [[3], [1]], "V": [[2]]}))  # (4, 2)
+        d2 = tmp_path / "d2.json"
+        d2.write_text(json.dumps({"U": [[2], [1]], "V": [[1]]}))  # (5, 1)
+        group = ["group", "--curve", g1_curve_file]
+        halve = ["halve", "--curve", g1_curve_file, "--point", "4,2"]
+        calls = [
+            [*group, "add", "--divisor", str(d1), "--divisor", str(d2)],
+            [*group, "double", "--divisor", str(d1)],
+            [*halve, "--rational-only"],
+            halve,
+        ]
+        first = [self.first_call(capsys, argv) for argv in calls]
+        cli._parser.cache_clear()
+        shared = [run(capsys, argv) for argv in calls]
+        assert shared == first
+        assert first[2] == (0, "", "") and len(first[3][1].splitlines()) == 4
+
+    def test_usage_error_leaves_the_parser_clean(self, capsys, g1_curve_file):
+        argv = ["halve", "--curve", g1_curve_file, "--point", "1,0"]
+        first = self.first_call(capsys, argv)
+        cli._parser.cache_clear()
+        with pytest.raises(SystemExit) as exc:
+            main(["halve", "--point", "1,0"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --curve" in capsys.readouterr().err
+        assert run(capsys, argv) == first
+
+    def test_import_builds_no_parser(self):
+        code = (
+            "import argparse; built = []; init = argparse.ArgumentParser.__init__; "
+            "argparse.ArgumentParser.__init__ = "
+            "lambda self, *a, **k: (built.append(1), init(self, *a, **k))[1]; "
+            "import jachalf.cli; print(len(built), jachalf.cli._parser.cache_info().currsize)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "0"]
 
 
 class TestParsing:

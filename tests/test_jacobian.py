@@ -14,6 +14,7 @@ from jachalf.errors import (
     FieldTooLarge,
     InternalInvariantViolation,
     InvalidDivisor,
+    MaxOrderTooSmall,
     NotOnCurve,
 )
 from jachalf.field import TowerField, ctx_new
@@ -89,6 +90,31 @@ class TestPoint:
     def test_non_integer_coordinate_is_refused(self, curve_g1_f7, a, b, bad):
         with pytest.raises(TypeError, match=re.escape(repr(bad))):
             Point(curve_g1_f7, a, b)
+
+    @pytest.mark.parametrize("which", ["a", "b"])
+    def test_coordinate_of_another_field_is_named(self, curve_g1_f7, which):
+        """(4, 2) lies on the curve over F_7; the same values over F_11 do not,
+        and the error names the coordinate, its field and the curve's."""
+        foreign = ctx_new(11, [1]).from_int(4 if which == "a" else 2)
+        a, b = (foreign, 2) if which == "a" else (4, foreign)
+        message = f"coordinate {which} = {foreign.encode()} of F_11^1 does not lie in "
+        with pytest.raises(CtxMismatch, match=re.escape(message + "the curve's field F_7^1")):
+            Point(curve_g1_f7, a, b)
+
+    def test_tower_coordinates_stay_accepted(self, curve_g1_f7):
+        """A point over the tower F_49 of the curve's field, with a and b
+        outside F_7, is still a point of the curve."""
+        def outside_f7(x):
+            return x is not None and len(x.encode()) == 2  # [[c0], [c1]]
+
+        f = curve_g1_f7.f
+        a = next(
+            x for x in curve_g1_f7.ctx.tower.elements()
+            if outside_f7(x) and outside_f7(f(x).sqrt())
+        )
+        b = f(a).sqrt()
+        point = Point(curve_g1_f7, a, b)
+        assert (point.a, point.b) == (a, b)
 
     def test_involution(self, p42):
         q = p42.involution()
@@ -833,6 +859,24 @@ class TestTorsionScan:
         else:
             with pytest.raises(FieldTooLarge, match=f"at genus {g} "):
                 torsion_scan(curve, n_max)
+
+    @pytest.mark.parametrize("p", [7, 1009])
+    @pytest.mark.parametrize("n_max", [-3, 0, 1, 2])
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_max_order_below_3_is_refused(self, monkeypatch, g, n_max, p):
+        """One rule at every genus, checked before the work estimate (F_1009
+        is above the scan bound) and before any square root."""
+
+        class Started(Exception):
+            pass
+
+        def sqrt(T, a):
+            raise Started
+
+        monkeypatch.setattr(TowerField, "sqrt", sqrt)
+        curve = curve_new(ctx_new(p, [1]), range(2 * g + 1))
+        with pytest.raises(MaxOrderTooSmall, match=rf"^max order {n_max} is below 3"):
+            torsion_scan(curve, n_max)
 
     @pytest.mark.parametrize("n_max", [4.9, "4", True, None])
     @pytest.mark.parametrize("g", [1, 2])
