@@ -562,12 +562,6 @@ class FieldCtx(_Field):
     def same_field(self, other):
         return self.p == other.p and self.modulus == other.modulus
 
-    def check_same(self, other):
-        if not self.same_field(other):
-            raise CtxMismatch(
-                f"contexts differ: F_{self.p}^{self.k} vs F_{other.p}^{other.k}"
-            )
-
     def __repr__(self):
         return f"FieldCtx(p={self.p}, k={self.k})"
 
@@ -712,10 +706,9 @@ def join(F, G):
     including two distinct objects for the same field; raises CtxMismatch
     when F and G belong to different fields.
     """
-    if G is F:
-        return F
-    if G.base is not F.base:
-        F.base.check_same(G.base)
+    B, C = F.base, G.base
+    if B is not C and not B.same_field(C):
+        raise CtxMismatch(f"contexts differ: F_{B.p}^{B.k} vs F_{C.p}^{C.k}")
     return G if G.tower is G and F.tower is not F else F
 
 
@@ -737,10 +730,6 @@ def _binary(op, build):
 def _rsub(self, other):
     """other - self, as (-self) + other."""
     return (-self).__add__(other)
-
-
-def _element(F, x):
-    return FieldElement(F, x)
 
 
 class FieldElement:
@@ -767,12 +756,8 @@ class FieldElement:
 
     # -- arithmetic --------------------------------------------------------
 
-    __add__ = __radd__ = _binary(lambda F, x, y: F.add(x, y), _element)
-    __sub__ = _binary(lambda F, x, y: F.sub(x, y), _element)
+    # +, -, * and / are _binary(op, FieldElement), set below the class body
     __rsub__ = _rsub
-    __mul__ = __rmul__ = _binary(lambda F, x, y: F.mul(x, y), _element)
-    __truediv__ = _binary(lambda F, x, y: F.mul(x, F.inv(y)), _element)
-    __rtruediv__ = _binary(lambda F, x, y: F.mul(y, F.inv(x)), _element)
 
     def __neg__(self):
         F = self.field
@@ -877,3 +862,11 @@ class FieldElement:
     def __repr__(self):
         k = self.field.base.k
         return f"FieldElement({self.encode()!r} over F_{self.field.p}^{k})"
+
+
+# set here rather than in the class body, so that _binary builds with the class itself
+FieldElement.__add__ = FieldElement.__radd__ = _binary(lambda F, x, y: F.add(x, y), FieldElement)
+FieldElement.__sub__ = _binary(lambda F, x, y: F.sub(x, y), FieldElement)
+FieldElement.__mul__ = FieldElement.__rmul__ = _binary(lambda F, x, y: F.mul(x, y), FieldElement)
+FieldElement.__truediv__ = _binary(lambda F, x, y: F.mul(x, F.inv(y)), FieldElement)
+FieldElement.__rtruediv__ = _binary(lambda F, x, y: F.mul(y, F.inv(x)), FieldElement)

@@ -11,21 +11,22 @@ takes Cantor's doubling (Math. Comp. 48, 1987): one xgcd(U, 2V), U^2 as the
 composed U, and a first reduction step that never forms V^2; when
 gcd(U, 2V) != 1 (a Weierstrass point in the support) it is add(d, d).
 add and double are thin wrappers: they lift their operands to payloads
-with poly.lifted and run the Cantor cores _cantor_add and _cantor_double.
+with poly.lifted and run the Cantor cores _cantor_add and _cantor_double,
+which take and return reduced payload pairs (U, V); _negate is (U, -V).
 scalar_mul and torsion_scan walk on reduced payload pairs only, with f
-lifted once per call, through a group law (state, pair, double, add,
-negate) on payloads.  scalar_mul picks the law: when D and f meet in a
+lifted once per call.  scalar_mul picks the steps: when D and f meet in a
 base context for a prime field (k = 1), g = 1 and g = 2 take closed
-forms on plain int tuples, one inversion per step: the chord-and-tangent
+forms on plain int tuples, one inversion per step, through a group law
+(state, pair, double, add, negate): the chord-and-tangent
 rule on affine (x, y) for g = 1, and for g = 2 Harley's
 composition with one reduction step in Lange's affine formulas ("Formulae
 for arithmetic on genus 2 hyperelliptic curves", AAECC 15, 2005).  A step
 the closed forms do not cover (deg U < 2, a resultant r = 0, or s1 = 0) is
 one step of the Cantor cores.  Every other curve and field, and
-torsion_scan over the tower, take _cantor_law: the Cantor cores on payload
-pairs.
+torsion_scan over the tower, walk with the Cantor cores themselves:
+_cantor_double, _cantor_add and _negate with g, the field and f bound.
 scalar_mul walks a width-4 signed-digit (NAF) expansion, odd digits in
-(-8, 8), taking negative digits from the law's negate, which is free
+(-8, 8), taking negative digits from the steps' negate, which is free
 because the hyperelliptic involution acts as -1 on the Jacobian.
 torsion_scan doubles each point by the tangent and tests nP = 0 as
 ceil(n/2) P = -floor(n/2) P, so it builds only half of the multiples.
@@ -287,12 +288,14 @@ def add(d1, d2):
     d1.curve.check_same(d2.curve)
     curve = d1.curve
     F, (U1, U2, V1, V2, f) = lifted(d1.U.field, d1.U, d2.U, d1.V, d2.V, curve.f)
-    return _divisor(curve, F, *_cantor_add(curve.g, F, f, U1, V1, U2, V2))
+    return _divisor(curve, F, *_cantor_add(curve.g, F, f, (U1, V1), (U2, V2)))
 
 
-def _cantor_add(g, F, f, U1, V1, U2, V2):
-    """Cantor composition + reduction of payload pairs over F: the reduced
-    (U, V), with U = (1,) for the zero class."""
+def _cantor_add(g, F, f, D1, D2):
+    """Cantor composition + reduction of the payload pairs D1 = (U1, V1) and
+    D2 = (U2, V2) over F: the reduced (U, V), with U = (1,) for the zero
+    class."""
+    (U1, V1), (U2, V2) = D1, D2
     plus, times, divide = partial(padd, F), F.polymul, partial(pdivmod, F)
     g1, e1, e2 = pxgcd(F, U1, U2)
     if len(g1) == 1:  # gcd(U1, U2) = 1: V3 = V1 mod U1 and V3 = V2 mod U2
@@ -328,6 +331,12 @@ def negate(d):
     return MumfordDivisor(d.curve, d.U, -d.V, validate=False)
 
 
+def _negate(F, D):
+    """-D for the payload pair D = (U, V) over F: (U, -V)."""
+    U, V = D
+    return U, tuple(pneg(F, V))
+
+
 def _double_point(g, F, a, b, f):
     """2 cl((P) - (infinity)) for P = (a, b), b != 0, by the tangent at P,
     as a payload pair over F.
@@ -359,12 +368,12 @@ def double(d):
         return d
     curve = d.curve
     F, (U, V, f) = lifted(d.U.field, d.U, d.V, curve.f)
-    return _divisor(curve, F, *_cantor_double(curve.g, F, f, U, V))
+    return _divisor(curve, F, *_cantor_double(curve.g, F, f, (U, V)))
 
 
-def _cantor_double(g, F, f, U, V):
-    """2(U, V) as a reduced payload pair over F, equal to _cantor_add of the
-    pair with itself.
+def _cantor_double(g, F, f, D):
+    """2D for the payload pair D = (U, V) as a reduced pair over F, equal to
+    _cantor_add of D with itself.
 
     A point class (x - a, b) doubles by the tangent rule (_double_point).
     Any other class takes Cantor's doubling: with c * 2V = 1 mod U and
@@ -373,15 +382,16 @@ def _cantor_double(g, F, f, U, V):
     k = c W mod U, never forms V3^2.  When gcd(U, 2V) != 1 (a Weierstrass
     point in the support) this is _cantor_add.
     """
+    U, V = D
     if len(U) == 1:
-        return U, V
+        return D
     if len(U) == 2:  # a point (a, b); b = 0 is 2-torsion
         return _double_point(g, F, F.neg(U[0]), V[0], f) if V else ((F._one,), ())
     times, divide = F.polymul, partial(pdivmod, F)
     twoV = padd(F, V, V)
     g1, _, c = pxgcd(F, U, twoV)
     if len(g1) != 1:
-        return _cantor_add(g, F, f, U, V, U, V)
+        return _cantor_add(g, F, f, D, D)
     W = divide(psub(F, f, times(V, V)), U)[0]
     k = divide(times(c, W), U)[1]
     U3 = times(U, U)
@@ -391,31 +401,6 @@ def _cantor_double(g, F, f, U, V):
         V3 = divide(pneg(F, V3), U3n)[1]
         U3 = U3n
     return _reduce(g, F, f, U3, V3)
-
-
-def _cantor_law(g, F, f):
-    """Cantor's group law over F on reduced payload pairs (U, V), as a
-    (state, pair, double, add, negate) tuple like _chord_tangent's; state
-    and pair are the identity.  The steps look up _cantor_add and
-    _cantor_double at call time, so a patched core is the one they run."""
-
-    def state(U, V):
-        return U, V
-
-    def pair(D):
-        return D
-
-    def double(D):
-        return _cantor_double(g, F, f, *D)
-
-    def add(D1, D2):
-        return _cantor_add(g, F, f, *D1, *D2)
-
-    def negate(D):
-        U, V = D
-        return U, tuple(pneg(F, V))
-
-    return state, pair, double, add, negate
 
 
 def _chord_tangent(F, f):
@@ -478,12 +463,11 @@ def _genus2(F, f):
     s = ((f - V^2)/U)/(2V) mod U, r = res(U, 2V).  Both compute r s and
     invert r s1 once.  When r = 0 (U1, U2 share a root, or a Weierstrass
     point lies in the support of D) or s1 = 0 (deg U' < 2), and whenever
-    an operand has deg U < 2, the step is one of _cantor_law's, which also
-    negates the pairs.
+    an operand has deg U < 2, the step is _cantor_add or _cantor_double on
+    the pairs, and _negate negates them.
     """
     p = F.p
     _, _, f2, f3, f4, _ = f
-    _, _, cantor_double, cantor_add, cantor_negate = _cantor_law(2, F, f)
 
     def state(U, V):
         if len(U) != 3:
@@ -525,7 +509,7 @@ def _genus2(F, f):
             if r and s1:
                 s0 = (a - u10 * b) % p
                 return finish(u21, u20, v21, v20, u11 + u21, u10 + u20 + u11 * u21, r, s1, s0)
-        return state(*cantor_add(pair(P), pair(Q)))
+        return state(*_cantor_add(2, F, f, pair(P), pair(Q)))
 
     def double(P):
         if len(P) == 4:
@@ -544,12 +528,12 @@ def _genus2(F, f):
             if r and s1:
                 s0 = (a - u0 * b) % p
                 return finish(u1, u0, v1, v0, 2 * u1, 2 * u0 + u1 * u1, r, s1, s0)
-        return state(*cantor_double(pair(P)))
+        return state(*_cantor_double(2, F, f, pair(P)))
 
     def negate(D):
         if len(D) == 4:
             return D[0], D[1], -D[2] % p, -D[3] % p
-        return cantor_negate(D)
+        return _negate(F, D)
 
     return state, pair, double, add, negate
 
@@ -595,10 +579,11 @@ def scalar_mul(n, d):
     additions, negative digits taking the negation, which is free.
 
     D and f are lifted once to F, the join of their field objects, and the
-    window is walked on payloads with one law: when F is a base context
-    for a prime field (k = 1), the curve's own or another, the closed forms
-    of _chord_tangent (g = 1) and _genus2 (g = 2), and otherwise
-    _cantor_law.  Only the result is built as a MumfordDivisor.  It lies
+    window is walked on payloads with one set of steps: when F is a base
+    context for a prime field (k = 1), the curve's own or another, the
+    closed forms of _chord_tangent (g = 1) and _genus2 (g = 2), and
+    otherwise the Cantor cores _cantor_double, _cantor_add and _negate on
+    the pairs themselves.  Only the result is built as a MumfordDivisor.  It lies
     over F for every n, unless it is the zero class, which is
     zero_class(curve); its value and encoding are Cantor's.
     """
@@ -609,9 +594,9 @@ def scalar_mul(n, d):
     F, (U, V, f) = lifted(d.U.field, d.U, d.V, curve.f)
     if F.tower is not F and F.k == 1 and g <= 2:
         state, pair, *law = (_chord_tangent if g == 1 else _genus2)(F, f)
-    else:
-        state, pair, *law = _cantor_law(g, F, f)
-    return _divisor(curve, F, *pair(_walk(n, state(U, V), *law)))
+        return _divisor(curve, F, *pair(_walk(n, state(U, V), *law)))
+    law = partial(_cantor_double, g, F, f), partial(_cantor_add, g, F, f), partial(_negate, F)
+    return _divisor(curve, F, *_walk(n, (U, V), *law))
 
 
 def torsion_scan(curve, n_max):
@@ -621,9 +606,10 @@ def torsion_scan(curve, n_max):
     deg U = min(g, 2), i.e. (x - a)^2 for g >= 2 and a point for g = 1 (P not
     2-torsion), and for g > 1 no P may have order n for
     3 <= n <= hi = min(n_max, 2g); at g = 1, hi = 2.  The scan walks with
-    _cantor_law over the tower T, on the f it lifts to T once: a point is
-    the payload pair ((-a, 1), (b,)), 2P comes from the tangent and only the
-    multiples mP for m <= ceil(hi/2) are built.  nP = 0 exactly when
+    the Cantor cores (_cantor_double, _cantor_add, _negate) over the tower
+    T, on the f it lifts to T once: a point is the payload pair
+    ((-a, 1), (b,)), 2P comes from the tangent and only the multiples mP
+    for m <= ceil(hi/2) are built.  nP = 0 exactly when
     ceil(n/2) P = -floor(n/2) P, which compares reduced pairs, unique per
     class, by value.  One sqrt per x-value both tests f(x) for a square and
     roots it, and one squaring checks the root.  A max order below 3 is
@@ -653,7 +639,8 @@ def torsion_scan(curve, n_max):
     points = 0
     T, (f,) = lifted(ctx.tower, curve.f)
     zero, one, neg = T._zero, T._one, T.neg
-    _, _, double, add, negate = _cantor_law(g, T, f)
+    double, add = partial(_cantor_double, g, T, f), partial(_cantor_add, g, T, f)
+    negate = partial(_negate, T)
     for i in range(T.q):
         x = T._from_index(i)
         fx = peval(T, f, x)

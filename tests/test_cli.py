@@ -391,6 +391,19 @@ class TestParsing:
         assert code == 2 and out == ""
         assert err.startswith("error:") and str(modulus) in err
 
+    def test_constant_modulus_is_exit_2_naming_it(self, capsys, tmp_path):
+        path = tmp_path / "constant.json"
+        path.write_text(json.dumps({"p": 7, "modulus": [3], "roots": [[0], [1], [6]]}))
+        code, out, err = run(capsys, ["halve", "--curve", str(path), "--point", "1,0"])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "modulus [3] over F_7" in err
+
+    @pytest.mark.parametrize("point", ["[1,2,3]", "[5]", "[]"])
+    def test_point_encoding_of_other_length_is_exit_2(self, capsys, g1_curve_file, point):
+        code, out, err = run(capsys, ["halve", "--curve", g1_curve_file, "--point", point])
+        assert code == 2 and out == ""
+        assert err == f"error: point encoding must be [a, b]: {point!r}\n"
+
     def test_long_modulus_is_exit_2_before_any_power(self, capsys, tmp_path):
         # k^3 * bits(p) far above the bound: refused in well under a second
         path = tmp_path / "long.json"

@@ -243,6 +243,48 @@ def test_scan_above_the_work_bound_is_exit_5(workdir):
     assert err.startswith("error:") and "genus 50" in err
 
 
+# the exit code of each error class, as the README table documents it
+EXIT_CODES = {
+    "JachalfError": 1,
+    "NotPrime": 2,
+    "CharacteristicTwo": 2,
+    "ReducibleModulus": 2,
+    "DivisionByZero": 1,
+    "CtxMismatch": 2,
+    "TowerExhausted": 2,
+    "DuplicateRoot": 2,
+    "EvenDegree": 2,
+    "NotOnCurve": 3,
+    "CurveMismatch": 3,
+    "InvalidDivisor": 3,
+    "FieldTooLarge": 5,
+    "MaxOrderTooSmall": 2,
+    "InfinityInput": 4,
+    "InternalInvariantViolation": 1,
+    "NotAHalf": 3,
+    "GenusTooLarge": 2,
+    "PointNotRational": 2,
+    "NonRationalCurve": 2,
+    "ParseError": 2,
+}
+
+
+def test_each_error_class_keeps_its_exit_code():
+    """Every class keeps its code, and codes 2 and 3 come only from the two
+    categories: a leaf class placed in the wrong category, or declaring a
+    code of its own, fails here."""
+    classes = {
+        name: cls
+        for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, errors.JachalfError)
+    }
+    categories = {"InputError": 2, "InvalidOperand": 3}
+    assert {name: cls.exit_code for name, cls in classes.items()} == {**EXIT_CODES, **categories}
+    for name, code in EXIT_CODES.items():
+        if code in (2, 3):
+            assert "exit_code" not in vars(classes[name]), name
+
+
 def test_every_error_class_declares_a_tabled_code():
     classes = [
         cls

@@ -66,6 +66,18 @@ class TestCtxNew:
         with pytest.raises(ReducibleModulus):
             ctx_new(7, [1, 0, 3])
 
+    @pytest.mark.parametrize("modulus", [[3], [0], [], [7]])
+    def test_rejects_a_modulus_of_degree_below_1(self, modulus):
+        # over F_7, [3] is a nonzero constant and [0], [] and [7] trim to nothing
+        with pytest.raises(ReducibleModulus, match=re.escape(f"modulus {modulus} over F_7")):
+            ctx_new(7, modulus)
+
+    def test_trailing_zeros_of_the_modulus_are_trimmed(self):
+        c, d = ctx_new(7, [1, 0, 1, 0]), ctx_new(7, [1, 0, 1])
+        assert c.k == 2 and c.same_field(d) and d.same_field(c)
+        assert c.from_coeffs([3, 5]) == d.from_coeffs([3, 5]) and c.generator() == d.generator()
+        assert c.from_coeffs([3, 5]) != d.from_coeffs([5, 3])
+
     def test_smallest_nonsquare_found(self, f7, f49):
         assert f7.nonsquare == 3  # squares mod 7 are {0,1,2,4}
         assert not f49.elem(f49.nonsquare).is_square()

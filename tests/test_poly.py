@@ -159,6 +159,13 @@ class TestDivmod:
         assert q == Poly(ctx, [1, 4, 1])
         assert r == Poly(ctx, [4])  # remainder theorem: a(4) = 60 = 4
 
+    @pytest.mark.parametrize("other", ["a", 1.5, None])
+    def test_foreign_divisor_raises_type_error(self, ctx, other):
+        p = Poly(ctx, [3, 1])
+        for op in (divmod, operator.floordiv, operator.mod):
+            with pytest.raises(TypeError):
+                op(p, other)
+
     def test_divide_by_zero(self, ctx):
         with pytest.raises(DivisionByZero):
             divmod(Poly(ctx, [1]), Poly.zero(ctx))

@@ -1,0 +1,107 @@
+"""Check that the tests catch each recorded mutation of the library.
+
+A mutant is (file, old text, new text, test node ids).  The tool copies
+src/, tests/, pyproject.toml and README.md to a temporary directory.  For
+each mutant it replaces the old text, which must occur exactly once, by
+the new text and runs only the named tests there; the mutant is killed
+when one of them fails.  Before any mutant, the named tests must pass on
+the unmutated copy.  Stdlib only:
+
+    python tools/mutants.py
+
+Exits 1 when a mutant survives, its old text does not occur exactly once,
+or pytest cannot run its tests.  A change to mutated code updates the list.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+JAC, HALF = "src/jachalf/jacobian.py", "src/jachalf/halving.py"
+ERR, FIELD = "src/jachalf/errors.py", "src/jachalf/field.py"
+T_JAC, T_HALF = "tests/test_jacobian.py::", "tests/test_halving.py::"
+FALLBACK_2 = T_JAC + "TestScalarMul::test_closed_form_steps_take_every_fallback[2-F13]"
+BY_VALUE = T_JAC + "test_cantor_law_compares_by_value"
+
+MUTANTS = [
+    # _genus2: a step with r = 0 or s1 = 0 must go to Cantor
+    (JAC, "if r and s1:\n                s0 = (a - u10 * b)",
+     "if s1:\n                s0 = (a - u10 * b)", [FALLBACK_2]),
+    (JAC, "if r and s1:\n                s0 = (a - u0 * b)",
+     "if r:\n                s0 = (a - u0 * b)", [FALLBACK_2]),
+    (JAC, "- f4 * il2 ", "", [T_JAC + "TestScalarMul::test_genus2_steps_at_large_prime"]),
+    # _chord_tangent: the chord rule's x3 = lambda^2 - f2 - x1 - x2
+    (JAC, "lam * lam - f2 - x1 - x2", "lam * lam - x1 - x2",
+     [T_JAC + "TestScalarMul::test_closed_forms_match_binary_ladder[1-F13]"]),
+    # _cantor_double: the first reduction step subtracts k^2
+    (JAC, "divide(psub(F, W, times(twoV, k)), U)[0], times(k, k))",
+     "divide(psub(F, W, times(twoV, k)), U)[0], pneg(F, times(k, k)))",
+     [T_JAC + "TestDoubling::test_double_is_add_to_itself[3-F13]"]),
+    # _reduce and _negate return tuples, which the scan compares by value
+    (JAC, "return tuple(pmonic(F, U3)), tuple(V3)", "return pmonic(F, U3), V3", [BY_VALUE]),
+    (JAC, "return U, tuple(pneg(F, V))", "return U, tuple(V)", [BY_VALUE]),
+    (JAC, "return _negate(F, D)", "return D",
+     [T_JAC + "TestScalarMul::test_closed_forms_match_binary_ladder[2-F13]"]),
+    # torsion_scan: nP = 0 as ceil(n/2) P = -floor(n/2) P, and its root check
+    (JAC, "== negate(mult[n // 2])", "== mult[n // 2]", [T_JAC + "TestTorsionScan::test_g3_clean"]),
+    (JAC, "if T.mul(s, s) != fx:", "if False:",
+     [T_JAC + "TestTorsionScan::test_wrong_root_is_refused"]),
+    # halving._half_failure: the shape, v_D(a) = -b and f - v_D^2 = (x - a) U^2
+    (HALF, " or U[-1] != F._one", "",
+     [T_HALF + "TestRecoverTuple::test_unreduced_pair_is_not_a_half"]),
+    (HALF, " or len(V) > g", "", [T_HALF + "TestRecoverTuple::test_unreduced_pair_is_not_a_half"]),
+    (HALF, "if peval(F, v_d, a) != F.neg(b):", "if False:",
+     [T_HALF + "TestRecoverTuple::test_negated_half_fails_only_the_sign_check"]),
+    (HALF, "if psub(F, F.polymul(v_d, v_d), f) != _times_y(F, F.polymul(U, U), a):", "if False:",
+     [T_HALF + "TestMumfordFromTuple::test_self_check_rejects_wrong_product"]),
+    # join refuses operands of two fields
+    (FIELD, "if B is not C and not B.same_field(C):", "if False:",
+     ["tests/test_field.py::TestCtxNew::test_ctx_mismatch_between_fields"]),
+    # a leaf error takes its exit code from its category
+    (ERR, "class NotOnCurve(InvalidOperand):", "class NotOnCurve(InputError):",
+     ["tests/test_cli_fuzz.py::test_each_error_class_keeps_its_exit_code",
+      "tests/test_cli.py::TestHalve::test_off_curve_is_exit_3"]),
+]
+
+
+def _pytest(copy, tests):
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True)
+
+
+def main():
+    faults = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, copy / name, ignore=shutil.ignore_patterns("__pycache__"))
+        for name in ("pyproject.toml", "README.md"):  # the pytest root, the exit-code table
+            shutil.copy(ROOT / name, copy)
+        tests = sorted({t for *_, ts in MUTANTS for t in ts})
+        run = _pytest(copy, tests)
+        if run.returncode != 0:
+            print(f"the named tests do not pass unmutated:\n{run.stdout[-2000:]}")
+            return 1
+        for i, (path, old, new, tests) in enumerate(MUTANTS):
+            target = copy / path
+            text = target.read_text(encoding="utf-8")
+            if text.count(old) != 1:
+                verdict = f"old text occurs {text.count(old)} times"
+            else:
+                target.write_text(text.replace(old, new), encoding="utf-8")
+                code = _pytest(copy, tests).returncode
+                target.write_text(text, encoding="utf-8")
+                verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"pytest exit {code}")
+            faults += verdict != "killed"
+            print(f"{i:2d} {verdict:>10}  {path}: {old.splitlines()[0].strip()!r}")
+    print(f"{len(MUTANTS) - faults} of {len(MUTANTS)} mutants killed")
+    return 1 if faults else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
