@@ -112,18 +112,14 @@ def parse_point(curve, text):
 
 def load_divisor(curve, path):
     data = _read_json(path, "divisor file")
+    ctx = curve.ctx
     try:
-        return parse_divisor(curve, data)
+        with _parsing(f"divisor {data!r}"):
+            u = Poly(ctx, [ctx.decode(c) for c in data["U"]])
+            v = Poly(ctx, [ctx.decode(c) for c in data["V"]])
+        return MumfordDivisor(curve, u, v, validate=True)
     except (InvalidDivisor, ParseError) as exc:
         raise type(exc)(f"divisor file {path}: {exc}") from exc
-
-
-def parse_divisor(curve, data):
-    ctx = curve.ctx
-    with _parsing(f"divisor {data!r}"):
-        u = Poly(ctx, [ctx.decode(c) for c in data["U"]])
-        v = Poly(ctx, [ctx.decode(c) for c in data["V"]])
-    return MumfordDivisor(curve, u, v, validate=True)
 
 
 def _halve_records(point, rational_only):
@@ -189,14 +185,9 @@ def cmd_torsion_scan(args):
     return 0
 
 
-def _selftest_curve():
-    ctx = ctx_new(7, [1])
-    return curve_new(ctx, [0, 1, 6])
-
-
 def cmd_selftest(args):
     """F_7 fixtures; exits nonzero if any frozen expectation fails."""
-    curve = _selftest_curve()
+    curve = curve_new(ctx_new(7, [1]), [0, 1, 6])
     ok = True
 
     # the four halves of (1, 0): the points (4, 2), (5, 6), (5, 1), (4, 5)

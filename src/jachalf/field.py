@@ -26,6 +26,11 @@ payload is a plain int in [0, p) when k = 1 and otherwise the k-tuple of
 its coefficients over F_p, low-to-high; a tower payload is a pair of base
 payloads (c0, c1) standing for c0 + c1*u.  Both forms order like their
 encode(), which keeps the choice of canonical square root unchanged.
+A payload list has no trailing zero payload: _trim(cs, zero) is the one
+payload trim, for the division kernels and the modulus here and for
+poly.py, jacobian.py and halving.py.  lowest(a) is the one base-form rule:
+a tower payload whose u-part is zero stands for its base payload, and
+decode(), equality, hashing and encode() all take that form from it.
 
 The payload ops of each field come from one of five constructions:
   - F_p: int lambdas, plus the kernels _int_polymul and _int_polydivmod,
@@ -124,6 +129,14 @@ def _square_multiply(mul, one, a, e):
     return result
 
 
+def _trim(cs, z):
+    """cs without its trailing zero payloads z (a slice, or cs itself)."""
+    n = len(cs)
+    while n and cs[n - 1] == z:
+        n -= 1
+    return cs if n == len(cs) else cs[:n]
+
+
 def _int_polymul(p):
     """Product of two lists of ints mod p, low-to-high: raw int products are
     summed and reduced once per coefficient."""
@@ -159,10 +172,7 @@ def _int_polydivmod(p):
                 q[i] = c
                 for j, y in enumerate(low, i):
                     r[j] -= c * y
-        r = [c % p for c in r[:db]]
-        while r and not r[-1]:
-            r.pop()
-        return q, r
+        return q, _trim([c % p for c in r[:db]], 0)
 
     return polydivmod
 
@@ -300,10 +310,7 @@ class _Field:
                 q[i] = c
                 for j, y in enumerate(low, i):
                     r[j] = sub(r[j], mul(c, y))
-        del r[db:]
-        while r and r[-1] == z:
-            r.pop()
-        return q, r
+        return q, _trim(r[:db], z)
 
 
 class FieldCtx(_Field):
@@ -344,10 +351,7 @@ class FieldCtx(_Field):
         self.p = p
 
         given = [_int_value(c, "modulus coefficient") for c in modulus]
-        mod = [c % p for c in given]
-        while mod and mod[-1] == 0:
-            mod.pop()
-        mod = tuple(mod)
+        mod = _trim(tuple(c % p for c in given), 0)
         if mod == (1,) or len(mod) == 2 and mod[1] == 1:
             # [1], the CLI convention, and every monic degree-1 modulus give
             # F_p itself; one form keeps same_field exact, and k = 1
@@ -437,9 +441,7 @@ class FieldCtx(_Field):
         t = x = (0, 1) + (0,) * (k - 2)
         for _ in range(k // 2):
             x = self.pow(x, p)
-            a, b = m, list(self.sub(x, t))
-            while b and not b[-1]:
-                b.pop()
+            a, b = m, _trim(self.sub(x, t), 0)
             while b:
                 a, b = b, polydivmod(a, b)[1]
             if len(a) != 1:
@@ -553,9 +555,7 @@ class FieldCtx(_Field):
             raise ValueError(f"quadratic encoding needs two parts: {obj!r}")
         c0 = self.from_coeffs(obj[0]).payload
         c1 = self.from_coeffs(obj[1]).payload
-        if c1 == self._zero:
-            return FieldElement(self, c0)
-        return FieldElement(self.tower, (c0, c1))
+        return FieldElement(*self.tower.lowest((c0, c1)))
 
     # -- context identity --------------------------------------------------
 
@@ -785,7 +785,7 @@ class FieldElement:
             return self.payload == other.payload
         if not self.field.base.same_field(other.field.base):
             return False
-        return self._lowest()[1] == other._lowest()[1]
+        return self.field.lowest(self.payload)[1] == other.field.lowest(other.payload)[1]
 
     def __hash__(self):
         """A value in F_p hashes like its int in [0, p), as it compares equal
@@ -794,11 +794,8 @@ class FieldElement:
         n = self.field._prime_value(self.payload)
         if n is not None:
             return hash(n)
-        F, x = self._lowest()
+        F, x = self.field.lowest(self.payload)
         return hash((F.p, F.base.modulus, x))
-
-    def _lowest(self):
-        return self.field.lowest(self.payload)
 
     def is_zero(self):
         return self.payload == self.field._zero
@@ -856,7 +853,7 @@ class FieldElement:
         Tower elements with zero u-coordinate take the base form so that
         equal values always serialize identically.
         """
-        F, x = self._lowest()
+        F, x = self.field.lowest(self.payload)
         return F.encode(x)
 
     def __repr__(self):

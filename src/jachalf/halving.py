@@ -32,11 +32,10 @@ from .errors import (
     NotAHalf,
     TowerExhausted,
 )
-from .field import FieldElement
+from .field import FieldElement, _trim
 from .poly import (
     _scale,
     _symmetric,
-    _trim,
     from_payloads,
     lifted,
     padd,

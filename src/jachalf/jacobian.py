@@ -52,10 +52,9 @@ from .errors import (
     MaxOrderTooSmall,
     NotOnCurve,
 )
-from .field import FieldElement, _int_value
+from .field import FieldElement, _int_value, _trim
 from .poly import (
     Poly,
-    _trim,
     from_payloads,
     from_roots,
     lifted,
@@ -89,7 +88,7 @@ class Curve:
             if not isinstance(r, FieldElement):
                 r = ctx.from_int(r)
             else:
-                F, x = r._lowest()
+                F, x = r.field.lowest(r.payload)
                 if F.tower is F or not ctx.same_field(F):
                     raise CtxMismatch(
                         f"root {r.encode()} does not lie in the curve's field F_{ctx.p}^{ctx.k}"
@@ -293,8 +292,8 @@ def add(d1, d2):
 
 def _cantor_add(g, F, f, D1, D2):
     """Cantor composition + reduction of the payload pairs D1 = (U1, V1) and
-    D2 = (U2, V2) over F: the reduced (U, V), with U = (1,) for the zero
-    class."""
+    D2 = (U2, V2) over F: the reduced (U, V), with U = (F._one,) for the
+    zero class."""
     (U1, V1), (U2, V2) = D1, D2
     plus, times, divide = partial(padd, F), F.polymul, partial(pdivmod, F)
     g1, e1, e2 = pxgcd(F, U1, U2)
@@ -314,14 +313,14 @@ def _cantor_add(g, F, f, D1, D2):
 
 def _reduce(g, F, f, U3, V3):
     """Cantor's reduction of a composed pair with deg V3 < deg U3, over F,
-    as a pair of payload tuples."""
+    as a pair of payload tuples.  The zero class comes out as
+    ((F._one,), ()): pmonic makes a nonzero constant F._one, and a
+    remainder mod a constant is empty."""
     times, divide = F.polymul, partial(pdivmod, F)
     while len(U3) > g + 1:
         U3n = pmonic(F, divide(psub(F, f, times(V3, V3)), U3)[0])
         V3 = divide(pneg(F, V3), U3n)[1]
         U3 = U3n
-    if len(U3) == 1:
-        return (F._one,), ()
     return tuple(pmonic(F, U3)), tuple(V3)
 
 

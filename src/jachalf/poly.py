@@ -1,13 +1,14 @@
 """Dense univariate polynomials over a field object (a context or its tower).
 
 The arithmetic lives in module-level kernels on lists of coefficient
-payloads, low-to-high, with no trailing zeros: padd, psub, pneg, pdivmod,
-pmonic, peval and pxgcd, each taking the field object first, and the
-field's own F.polymul for products.  A payload is an int for k = 1, a
-k-tuple otherwise, and a pair of base payloads in the tower (see field.py).
-For k = 1, F.polymul and the division under pdivmod sum raw int products
-and reduce mod p once per coefficient; division and monic skip the
-inversion when the leading coefficient is 1.
+payloads, low-to-high, with no trailing zeros (cut by field._trim, the one
+payload trim): padd, psub, pneg, pdivmod, pmonic, peval and pxgcd, each
+taking the field object first, and the field's own F.polymul for products.
+A payload is an int for k = 1, a k-tuple otherwise, and a pair of base
+payloads in the tower (see field.py).  For k = 1, F.polymul and the
+division under pdivmod sum raw int products and reduce mod p once per
+coefficient; division and monic skip the inversion when the leading
+coefficient is 1.
 
 A Poly holds its field object and a tuple of coefficient payloads; the zero
 polynomial has an empty tuple and degree -1.  Its +, - and * follow the
@@ -29,15 +30,7 @@ schoolbook arithmetic.
 from __future__ import annotations
 
 from .errors import DivisionByZero
-from .field import FieldElement, _binary, _int_value, _rsub, join
-
-
-def _trim(cs, z):
-    """cs without its trailing zero payloads z (a slice, or cs itself)."""
-    n = len(cs)
-    while n and cs[n - 1] == z:
-        n -= 1
-    return cs if n == len(cs) else cs[:n]
+from .field import FieldElement, _binary, _int_value, _rsub, _trim, join
 
 
 def from_payloads(F, cs):

@@ -294,3 +294,16 @@ def test_every_error_class_declares_a_tabled_code():
     for cls in classes:
         assert cls.exit_code in {1, 2, 3, 4, 5}, cls
         assert cls.exit_code in TABLE_CODES, cls
+
+
+def test_the_table_lists_exactly_the_declared_codes():
+    """The README exit-code table holds 0 and each code that a class declares,
+    and no other code: a row left after its class goes fails here too."""
+    section = README.read_text().split("### Exit codes", 1)[1].split("\n## ", 1)[0]
+    tabled = {int(c) for c in re.findall(r"^\|\s*(\d+)\s*\|", section, re.M)}
+    declared = {
+        cls.exit_code
+        for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.JachalfError)
+    }
+    assert tabled == {0} | declared

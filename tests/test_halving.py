@@ -1,6 +1,7 @@
 """Division by 2: sqrt tuples, the closed formulas, and root recovery."""
 
 import random
+import re
 import time
 
 import pytest
@@ -356,6 +357,21 @@ class TestRecoverTuple:
         for U, V, s in ((d.U, d.V + d.U, s1 - 1), (-d.U, d.V, -s1)):
             with pytest.raises(NotAHalf, match="monic of degree g"):
                 recover_tuple(MumfordDivisor(d.curve, U, V, validate=False), point=point, s1=s)
+
+    def test_non_half_with_matching_sign_fails_the_identity(self):
+        """A reduced class that is not a half, given the s_1 that makes
+        v_D(a) = -b, passes the shape and sign checks; only the identity
+        f - v_D^2 = (x - a) U^2 refuses it."""
+        point = _g2_point()
+        curve, ctx = point.curve, point.curve.ctx
+        assert point.a == 5 and point.b == 4
+        d = add(to_class(Point(curve, 8, 5)), to_class(Point(curve, 9, 1)))
+        assert d.U.degree() == 2 and double(d) != to_class(point)
+        a = ctx.from_int(5)
+        s1 = (-point.b - d.V(a)) / d.U(a)
+        assert (d.V + d.U * s1)(a) == -point.b  # v_D(a) = -b at g = 2
+        with pytest.raises(NotAHalf, match=re.escape("f - v_D^2 != (x - a) U^2")):
+            recover_tuple(d, point=point, s1=s1)
 
     def test_roundtrip_g2(self, curve_g2_f49):
         rng = random.Random(9)

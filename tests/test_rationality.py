@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from jachalf.errors import NonRationalCurve, PointNotRational
+from jachalf.errors import InternalInvariantViolation, NonRationalCurve, PointNotRational
 from jachalf.field import ctx_new
-from jachalf.halving import halve
+from jachalf.halving import HalfClass, halve
 from jachalf.jacobian import Point, curve_new
 from jachalf.rationality import (
     all_halves_rational,
@@ -57,6 +57,16 @@ class TestClassIsRational:
             if witness is not None:
                 name, j = witness
                 assert not coeffs[name][j].in_prime_field()
+
+
+    def test_disagreeing_s_and_pair_is_an_internal_error(self, p10):
+        """A rational half given an s_1 outside F_p: the two criteria
+        disagree, which only a bug could cause, and rational_witness says so."""
+        half = halve(p10)[0]
+        u = p10.curve.ctx.tower.generator()
+        bent = HalfClass(half.divisor, half.tuple, (u,) + half.s[1:], half.v_d)
+        with pytest.raises(InternalInvariantViolation, match="disagree"):
+            rational_witness(bent)
 
 
 class TestFrobeniusAction:

@@ -23,7 +23,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 JAC, HALF = "src/jachalf/jacobian.py", "src/jachalf/halving.py"
 ERR, FIELD = "src/jachalf/errors.py", "src/jachalf/field.py"
+RAT = "src/jachalf/rationality.py"
 T_JAC, T_HALF = "tests/test_jacobian.py::", "tests/test_halving.py::"
+T_FIELD, T_RAT = "tests/test_field.py::", "tests/test_rationality.py::"
 FALLBACK_2 = T_JAC + "TestScalarMul::test_closed_form_steps_take_every_fallback[2-F13]"
 BY_VALUE = T_JAC + "test_cantor_law_compares_by_value"
 
@@ -57,10 +59,32 @@ MUTANTS = [
     (HALF, "if peval(F, v_d, a) != F.neg(b):", "if False:",
      [T_HALF + "TestRecoverTuple::test_negated_half_fails_only_the_sign_check"]),
     (HALF, "if psub(F, F.polymul(v_d, v_d), f) != _times_y(F, F.polymul(U, U), a):", "if False:",
-     [T_HALF + "TestMumfordFromTuple::test_self_check_rejects_wrong_product"]),
+     [T_HALF + "TestMumfordFromTuple::test_self_check_rejects_wrong_product",
+      T_HALF + "TestRecoverTuple::test_non_half_with_matching_sign_fails_the_identity"]),
     # join refuses operands of two fields
     (FIELD, "if B is not C and not B.same_field(C):", "if False:",
-     ["tests/test_field.py::TestCtxNew::test_ctx_mismatch_between_fields"]),
+     [T_FIELD + "TestCtxNew::test_ctx_mismatch_between_fields"]),
+    # _trim is the one trailing-zero cut, and lowest() the one base-form rule
+    (FIELD, "    while n and cs[n - 1] == z:\n        n -= 1\n", "",
+     ["tests/test_poly.py::TestBasics::test_trailing_zeros_trimmed",
+      T_FIELD + "TestCtxNew::test_trailing_zeros_of_the_modulus_are_trimmed"]),
+    (FIELD, "return FieldElement(*self.tower.lowest((c0, c1)))",
+     "return FieldElement(self.tower, (c0, c1))",
+     [T_FIELD + "TestEncoding::test_quad_form_with_zero_u_decodes_to_base"]),
+    # the F_p product kernel reduces mod p, and _quartic keeps the t term of ns
+    (FIELD, "return [c % p for c in out]", "return out",
+     ["tests/test_poly.py::TestBasics::test_product_example"]),
+    (FIELD, "s2 = a01 * b01 + n1 * q1", "s2 = a01 * b01",
+     [T_FIELD + "TestQuarticProduct::test_random_pairs_with_t_term"]),
+    # Ben-Or refuses a modulus with a factor, and Tonelli-Shanks a non-square
+    (FIELD, "if len(a) != 1:", "if False:", [T_FIELD + "TestCtxNew::test_rejects_reducible_modulus"]),
+    (FIELD, "            if i == e:\n                return None\n", "",
+     [T_FIELD + "TestSqrt::test_nonsquare_promotes_to_tower"]),
+    # a Frobenius orbit holds every conjugate, and the two criteria must agree
+    (RAT, "            orbit.append(index[beta])\n", "",
+     [T_RAT + "TestRationalFactors::test_g2_fixture_factors"]),
+    (RAT, "if (by_s is None) != (by_coeffs is None):", "if False:",
+     [T_RAT + "TestClassIsRational::test_disagreeing_s_and_pair_is_an_internal_error"]),
     # a leaf error takes its exit code from its category
     (ERR, "class NotOnCurve(InvalidOperand):", "class NotOnCurve(InputError):",
      ["tests/test_cli_fuzz.py::test_each_error_class_keeps_its_exit_code",
