@@ -20,7 +20,7 @@ import functools
 import json
 import sys
 
-from .errors import InfinityInput, InvalidDivisor, JachalfError, ParseError
+from .errors import InvalidDivisor, JachalfError, ParseError
 from .field import ctx_new
 from .poly import Poly
 from .jacobian import (
@@ -169,8 +169,6 @@ def cmd_group(args):
 def cmd_check(args):
     curve = load_curve(args.curve)
     point = parse_point(curve, args.point)
-    if point.infinite:
-        raise InfinityInput("check needs an affine point")
     if args.which == "divisible-by-2":
         _emit(divisible_by_two_report(point))
     else:

@@ -30,7 +30,8 @@ A payload list has no trailing zero payload: _trim(cs, zero) is the one
 payload trim, for the division kernels and the modulus here and for
 poly.py, jacobian.py and halving.py.  lowest(a) is the one base-form rule:
 a tower payload whose u-part is zero stands for its base payload, and
-decode(), equality, hashing and encode() all take that form from it.
+decode(), hashing (of a FieldElement and of a Poly) and encode() all take
+that form from it.
 
 The payload ops of each field come from one of five constructions:
   - F_p: int lambdas, plus the kernels _int_polymul and _int_polydivmod,
@@ -60,8 +61,10 @@ number of values.  The binary operators of FieldElement and poly.Poly are
 one rule, _binary(op, build): the class's _pair gives both operands as
 payloads x, y over one field object F, and the result is
 build(F, op(F, x, y)); an operand _pair does not take gives NotImplemented.
-Equality, hashing and encode() go by value;
-a value in F_p hashes like its int in [0, p).  All values are immutable.
+Their == is one rule too, _equal: the payloads from _pair compare, and
+values of two fields are unequal.  Equality, hashing and encode() go by
+value; a value in F_p hashes like its int in [0, p).  All values are
+immutable.
 """
 
 from __future__ import annotations
@@ -732,6 +735,20 @@ def _rsub(self, other):
     return (-self).__add__(other)
 
 
+def _equal(self, other):
+    """Equality by value of a value class: self._pair(other) gives both
+    operands over one field object; operands of two fields are unequal, and
+    an operand _pair does not take gives NotImplemented.  An int n equals a
+    value x when n = x (mod p); only n in [0, p) also hashes like x."""
+    try:
+        F, x, y = self._pair(other)
+    except CtxMismatch:
+        return False
+    if F is None:
+        return NotImplemented
+    return x == y
+
+
 class FieldElement:
     """Immutable element of a base field F_q or of its tower F_{q^2}."""
 
@@ -774,18 +791,7 @@ class FieldElement:
         F = self.field
         return FieldElement(F, F.pow(self.payload, e))
 
-    def __eq__(self, other):
-        """Equality by value, across field objects of one field.  An int n
-        equals x when n = x (mod p); only n in [0, p) also hashes like x."""
-        if isinstance(other, int):
-            return self.payload == self.field._int_payload(other)
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        if other.field is self.field:
-            return self.payload == other.payload
-        if not self.field.base.same_field(other.field.base):
-            return False
-        return self.field.lowest(self.payload)[1] == other.field.lowest(other.payload)[1]
+    __eq__ = _equal
 
     def __hash__(self):
         """A value in F_p hashes like its int in [0, p), as it compares equal

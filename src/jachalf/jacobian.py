@@ -109,11 +109,9 @@ class Curve:
         self.f = from_roots(ctx, rs)
 
     def same_curve(self, other):
-        return (
-            self.ctx.same_field(other.ctx)
-            and self.g == other.g
-            and self.roots == other.roots
-        )
+        """Whether the curves have the same roots; roots compare by value, and
+        roots of two fields are unequal."""
+        return self.roots == other.roots
 
     def check_same(self, other):
         if not self.same_curve(other):
@@ -265,7 +263,7 @@ def to_class(point):
     return MumfordDivisor(
         curve,
         Poly(ctx, (-point.a, 1)),
-        Poly.constant(point.b),
+        Poly(ctx, (point.b,)),
         validate=False,
     )
 

@@ -11,10 +11,12 @@ coefficient; division and monic skip the inversion when the leading
 coefficient is 1.
 
 A Poly holds its field object and a tuple of coefficient payloads; the zero
-polynomial has an empty tuple and degree -1.  Its +, - and * follow the
-one operator rule of field.py, _binary(kernel, from_payloads), on the
-payload tuples that Poly._pair gives; divmod, xgcd and gcd are
-from_payloads(F, kernel(...)) too, gcd being the first part of pxgcd.
+polynomial has an empty tuple and degree -1.  Its +, -, *, divmod, // and
+% follow the one operator rule of field.py, _binary(kernel, build), on the
+payload tuples that Poly._pair gives, the three divisions all on pdivmod,
+and its == is field.py's one equality rule, _equal, on the same pair;
+xgcd and gcd are from_payloads(F, kernel(...)) too, gcd being the first
+part of pxgcd.
 Code that chains many operations (Cantor composition in jacobian.add, the
 halving formulas and their certificate) runs the kernels directly and
 builds a Poly only for its result.  ``coeffs`` gives the coefficients as
@@ -23,14 +25,15 @@ Polys, FieldElements and ints: it joins their field objects in field.join
 and moves every payload to that join with its lift(); Poly construction,
 the operators, xgcd, gcd, from_roots and elementary_symmetric, the
 Jacobian group law and halving all start from it.  Equality and hashing go
-by value.  Degrees stay tiny here (at most 2g+1), so everything is plain
-schoolbook arithmetic.
+by value, a longer polynomial hashing by the lowest payload (field.lowest)
+of each coefficient.  Degrees stay tiny here (at most 2g+1), so everything
+is plain schoolbook arithmetic.
 """
 
 from __future__ import annotations
 
 from .errors import DivisionByZero
-from .field import FieldElement, _binary, _int_value, _rsub, _trim, join
+from .field import FieldElement, _binary, _equal, _int_value, _rsub, _trim, join
 
 
 def from_payloads(F, cs):
@@ -150,10 +153,6 @@ class Poly:
         return from_payloads(field, ())
 
     @classmethod
-    def constant(cls, c):
-        return from_payloads(c.field, (c.payload,))
-
-    @classmethod
     def x(cls, field):
         return from_payloads(field, (field._zero, field._one))
 
@@ -191,40 +190,21 @@ class Poly:
         F = self.field
         return from_payloads(F, pneg(F, self.pc))
 
-    def __divmod__(self, other):
-        F, a, b = self._pair(other)
-        if F is None:
-            return NotImplemented
-        q, r = pdivmod(F, a, b)
-        return from_payloads(F, q), from_payloads(F, r)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def __eq__(self, other):
-        if isinstance(other, (Poly, FieldElement)):
-            if not self.field.base.same_field(other.field.base):
-                return False
-        elif not isinstance(other, int):
-            return NotImplemented
-        _, a, b = self._pair(other)
-        return a == b
+    __divmod__ = _binary(pdivmod, lambda F, qr: tuple(from_payloads(F, c) for c in qr))
+    __floordiv__ = _binary(lambda F, a, b: pdivmod(F, a, b)[0], from_payloads)
+    __mod__ = _binary(lambda F, a, b: pdivmod(F, a, b)[1], from_payloads)
+    __eq__ = _equal
 
     def __hash__(self):
         """A constant hashes like its coefficient (the zero polynomial like 0),
-        as it compares equal to it; a longer polynomial by its payloads in
-        the lowest field holding all of them.  As for a FieldElement, an int
-        outside [0, p) may equal a constant yet hash apart."""
+        as it compares equal to it; a longer polynomial by the lowest payload
+        of each coefficient, so a tower polynomial with base coefficients
+        hashes like its base twin.  As for a FieldElement, an int outside
+        [0, p) may equal a constant yet hash apart."""
         F, pc = self.field, self.pc
         if len(pc) < 2:
             return hash(FieldElement(F, pc[0])) if pc else hash(0)
-        z = F.base._zero
-        if F.tower is F and all(c[1] == z for c in pc):
-            pc = tuple(c[0] for c in pc)
-        return hash(pc)
+        return hash(tuple([F.lowest(c)[1] for c in pc]) if F.tower is F else pc)
 
     def monic(self):
         F = self.field

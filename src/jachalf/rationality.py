@@ -10,6 +10,7 @@ polynomial factorization is ever needed.
 from __future__ import annotations
 
 from .errors import (
+    InfinityInput,
     InternalInvariantViolation,
     NonRationalCurve,
     PointNotRational,
@@ -66,7 +67,7 @@ def frobenius_divisor(divisor):
 
 def _require_rational_point(point):
     if point.infinite:
-        raise PointNotRational("the point at infinity has no affine coordinates")
+        raise InfinityInput("the point at infinity has no affine coordinates")
     if not (point.a.in_prime_field() and point.b.in_prime_field()):
         raise PointNotRational(
             f"point {[point.a.encode(), point.b.encode()]} has coordinates outside F_p"
@@ -127,7 +128,7 @@ def rational_factors(curve):
         coeffs = []
         for c in m.coeffs:
             if not c.in_prime_field():
-                raise NonRationalCurve("orbit polynomial has non-F_p coefficients")
+                raise InternalInvariantViolation("a full Frobenius orbit gave non-F_p coefficients")
             coeffs.append(c.as_prime_int())
         factors.append(tuple(coeffs))
     return factors

@@ -4,7 +4,12 @@ import random
 
 import pytest
 
-from jachalf.errors import InternalInvariantViolation, NonRationalCurve, PointNotRational
+from jachalf.errors import (
+    InfinityInput,
+    InternalInvariantViolation,
+    NonRationalCurve,
+    PointNotRational,
+)
 from jachalf.field import ctx_new
 from jachalf.halving import HalfClass, halve
 from jachalf.jacobian import Point, curve_new
@@ -113,9 +118,10 @@ class TestAllHalvesRational:
             with pytest.raises(PointNotRational):
                 all_halves_rational(p)
 
-    def test_rejects_infinity(self, curve_g1_f7):
-        with pytest.raises(PointNotRational):
-            all_halves_rational(Point.infinity(curve_g1_f7))
+    @pytest.mark.parametrize("predicate", [all_halves_rational, divisible_by_two])
+    def test_rejects_infinity(self, curve_g1_f7, predicate):
+        with pytest.raises(InfinityInput):
+            predicate(Point.infinity(curve_g1_f7))
 
     def test_count_equivalence(self):
         ctx = ctx_new(13, [1])

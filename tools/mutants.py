@@ -9,8 +9,11 @@ the unmutated copy.  Stdlib only:
 
     python tools/mutants.py
 
-Exits 1 when a mutant survives, its old text does not occur exactly once,
-or pytest cannot run its tests.  A change to mutated code updates the list.
+Each pytest run is stopped after TIMEOUT seconds: a mutant whose tests run
+that long (a loop the mutation made endless, say) gets the verdict
+"timed out", which is a fault like a survivor.  Exits 1 when a mutant
+survives or times out, its old text does not occur exactly once, or pytest
+cannot run its tests.  A change to mutated code updates the list.
 """
 
 import os
@@ -21,11 +24,13 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 120  # seconds per pytest run
 JAC, HALF = "src/jachalf/jacobian.py", "src/jachalf/halving.py"
 ERR, FIELD = "src/jachalf/errors.py", "src/jachalf/field.py"
-RAT = "src/jachalf/rationality.py"
+RAT, POLY, CLI = "src/jachalf/rationality.py", "src/jachalf/poly.py", "src/jachalf/cli.py"
 T_JAC, T_HALF = "tests/test_jacobian.py::", "tests/test_halving.py::"
 T_FIELD, T_RAT = "tests/test_field.py::", "tests/test_rationality.py::"
+T_POLY = "tests/test_poly.py::"
 FALLBACK_2 = T_JAC + "TestScalarMul::test_closed_form_steps_take_every_fallback[2-F13]"
 BY_VALUE = T_JAC + "test_cantor_law_compares_by_value"
 
@@ -85,6 +90,26 @@ MUTANTS = [
      [T_RAT + "TestRationalFactors::test_g2_fixture_factors"]),
     (RAT, "if (by_s is None) != (by_coeffs is None):", "if False:",
      [T_RAT + "TestClassIsRational::test_disagreeing_s_and_pair_is_an_internal_error"]),
+    # _equal: values of two fields are unequal; Poly hashes by lowest payloads
+    (FIELD, "except CtxMismatch:\n        return False", "except CtxMismatch:\n        return True",
+     [T_POLY + "TestBasics::test_equality_with_foreign_values"]),
+    (POLY, "hash(tuple([F.lowest(c)[1] for c in pc]) if F.tower is F else pc)", "hash(pc)",
+     [T_POLY + "TestHashing::test_longer_polynomials_hash_by_lowest_field"]),
+    # % is the remainder of pdivmod, and a curve is its roots
+    (POLY, "pdivmod(F, a, b)[1], from_payloads)", "pdivmod(F, a, b)[0], from_payloads)",
+     [T_POLY + "TestBasics::test_reflected_operators"]),
+    (JAC, "return self.roots == other.roots", "return True",
+     [T_JAC + "TestPoint::test_points_on_two_curves_differ"]),
+    # psub negates the tail of a longer subtrahend; pxgcd makes its gcd monic
+    (POLY, "    else:\n        out += map(F.neg, b[len(a):])\n", "",
+     [T_POLY + "TestXgcd::test_bezout", T_POLY + "TestKernels::test_xgcd"]),
+    (POLY, "return _scale(F, r0, inv), _scale(F, s0, inv), _scale(F, t0, inv)", "return r0, s0, t0",
+     [T_POLY + "TestXgcd::test_bezout", T_POLY + "TestXgcd::test_gcd_of_shared_factor"]),
+    # a bad divisor file is named in the message, and infinity is refused
+    (CLI, 'raise type(exc)(f"divisor file {path}: {exc}") from exc', "raise",
+     ["tests/test_cli.py::TestGroup::test_invalid_divisor_names_the_file_and_the_pair"]),
+    (RAT, 'raise InfinityInput("the point at infinity has no affine coordinates")', "pass",
+     [T_RAT + "TestAllHalvesRational::test_rejects_infinity"]),
     # a leaf error takes its exit code from its category
     (ERR, "class NotOnCurve(InvalidOperand):", "class NotOnCurve(InputError):",
      ["tests/test_cli_fuzz.py::test_each_error_class_keeps_its_exit_code",
@@ -93,9 +118,16 @@ MUTANTS = [
 
 
 def _pytest(copy, tests):
+    """(pytest's exit code, its stdout) on the named tests in copy; the code
+    is None when the run is stopped after TIMEOUT seconds."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
-    return subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True)
+    try:
+        run = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True,
+                             timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return None, f"timed out after {TIMEOUT} s"
+    return run.returncode, run.stdout
 
 
 def main():
@@ -107,9 +139,9 @@ def main():
         for name in ("pyproject.toml", "README.md"):  # the pytest root, the exit-code table
             shutil.copy(ROOT / name, copy)
         tests = sorted({t for *_, ts in MUTANTS for t in ts})
-        run = _pytest(copy, tests)
-        if run.returncode != 0:
-            print(f"the named tests do not pass unmutated:\n{run.stdout[-2000:]}")
+        code, out = _pytest(copy, tests)
+        if code != 0:
+            print(f"the named tests do not pass unmutated:\n{out[-2000:]}")
             return 1
         for i, (path, old, new, tests) in enumerate(MUTANTS):
             target = copy / path
@@ -118,9 +150,10 @@ def main():
                 verdict = f"old text occurs {text.count(old)} times"
             else:
                 target.write_text(text.replace(old, new), encoding="utf-8")
-                code = _pytest(copy, tests).returncode
+                code = _pytest(copy, tests)[0]
                 target.write_text(text, encoding="utf-8")
-                verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"pytest exit {code}")
+                verdict = {0: "SURVIVED", 1: "killed", None: "timed out"}.get(
+                    code, f"pytest exit {code}")
             faults += verdict != "killed"
             print(f"{i:2d} {verdict:>10}  {path}: {old.splitlines()[0].strip()!r}")
     print(f"{len(MUTANTS) - faults} of {len(MUTANTS)} mutants killed")
