@@ -15,16 +15,18 @@ with poly.lifted and run the Cantor cores _cantor_add and _cantor_double,
 which take and return reduced payload pairs (U, V); _negate is (U, -V).
 scalar_mul and torsion_scan walk on reduced payload pairs only, with f
 lifted once per call.  scalar_mul picks the steps: when D and f meet in a
-base context for a prime field (k = 1), g = 1 and g = 2 take closed
-forms on plain int tuples, one inversion per step, through a group law
-(state, pair, double, add, negate): the chord-and-tangent
-rule on affine (x, y) for g = 1, and for g = 2 Harley's
-composition with one reduction step in Lange's affine formulas ("Formulae
-for arithmetic on genus 2 hyperelliptic curves", AAECC 15, 2005).  A step
-the closed forms do not cover (deg U < 2, a resultant r = 0, or s1 = 0) is
-one step of the Cantor cores.  Every other curve and field, and
-torsion_scan over the tower, walk with the Cantor cores themselves:
-_cantor_double, _cantor_add and _negate with g, the field and f bound.
+base context for a prime field (k = 1) and g <= 3, the closed forms of
+the closed_forms module, on plain int tuples with one inversion per step: the
+chord-and-tangent rule for g = 1, Harley's composition with one reduction
+step in Lange's affine formulas ("Formulae for arithmetic on genus 2
+hyperelliptic curves", AAECC 15, 2005) for g = 2, and with two reduction
+steps, deg 6 -> 4 -> 3, after Pelzl, Wollinger, Guajardo and Paar (CHES
+2003) and Costello and Lauter (SAC 2011) for g = 3.  A step they do not
+cover (an operand with deg U < g, a resultant r = 0, or a result with
+deg U < g) is one step of the Cantor cores, which scalar_mul passes them.
+Every other curve and field, and torsion_scan over the tower, walk with
+the Cantor cores themselves: _cantor_double, _cantor_add and _negate with
+g, the field and f bound.
 scalar_mul walks a width-4 signed-digit (NAF) expansion, odd digits in
 (-8, 8), taking negative digits from the steps' negate, which is free
 because the hyperelliptic involution acts as -1 on the Jacobian.
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 from functools import partial
 
+from .closed_forms import _chord_tangent, _genus2, _genus3
 from .errors import (
     CurveMismatch,
     CtxMismatch,
@@ -400,141 +403,6 @@ def _cantor_double(g, F, f, D):
     return _reduce(g, F, f, U3, V3)
 
 
-def _chord_tangent(F, f):
-    """The g = 1 group law over F_p on int payloads, in affine coordinates.
-
-    A class is the point (x, y), or None for the zero class.  Returns
-    (state, pair, double, add, negate): state and pair convert from and to
-    reduced payload pairs (U, V) = (x - x0, y0).  P + Q is the chord rule,
-    lambda = (y2 - y1)/(x2 - x1), x3 = lambda^2 - f2 - x1 - x2 and
-    y3 = -(y1 + lambda (x3 - x1)); 2P is the tangent rule of _double_point.
-    """
-    p = F.p
-    _, f1, f2, _ = f
-
-    def state(U, V):
-        return (-U[0] % p, V[0] if V else 0) if len(U) == 2 else None
-
-    def pair(P):
-        return ((1,), ()) if P is None else ((-P[0] % p, 1), (P[1],))
-
-    def double(P):
-        if P is None or not P[1]:
-            return None
-        x, y = P
-        lam = ((3 * x + 2 * f2) * x + f1) * pow(2 * y, -1, p) % p
-        x3 = (lam * lam - f2 - 2 * x) % p
-        return x3, -(y + lam * (x3 - x)) % p
-
-    def add(P, Q):
-        if P is None:
-            return Q
-        if Q is None:
-            return P
-        x1, y1 = P
-        x2, y2 = Q
-        if x1 == x2:  # Q = P or Q = -P
-            return double(P) if y1 == y2 else None
-        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-        x3 = (lam * lam - f2 - x1 - x2) % p
-        return x3, -(y1 + lam * (x3 - x1)) % p
-
-    def negate(P):
-        return None if P is None else (P[0], -P[1] % p)
-
-    return state, pair, double, add, negate
-
-
-def _genus2(F, f):
-    """The g = 2 group law over F_p on int payloads: Harley's composition
-    with one reduction step, in Lange's affine form (AAECC 15, 2005), h = 0.
-
-    A class with deg U = 2 is the tuple (u1, u0, v1, v0); any other class
-    is its reduced payload pair (U, V).  Returns (state, pair, double, add,
-    negate) as _chord_tangent does.
-
-    D1 + D2, both of degree 2: with r = res(U1, U2) and
-    s = (V1 - V2)/U2 mod U1 = (s1 x + s0), the sum is
-    U' = (s (s U2 + 2 V2) - (f - V2^2)/U2)/U1 made monic and
-    V' = -(V2 + s U2) mod U'.  2D is the same with U1 = U2 = U and
-    s = ((f - V^2)/U)/(2V) mod U, r = res(U, 2V).  Both compute r s and
-    invert r s1 once.  When r = 0 (U1, U2 share a root, or a Weierstrass
-    point lies in the support of D) or s1 = 0 (deg U' < 2), and whenever
-    an operand has deg U < 2, the step is _cantor_add or _cantor_double on
-    the pairs, and _negate negates them.
-    """
-    p = F.p
-    _, _, f2, f3, f4, _ = f
-
-    def state(U, V):
-        if len(U) != 3:
-            return U, V
-        return U[1], U[0], V[1] if len(V) == 2 else 0, V[0] if V else 0
-
-    def pair(D):
-        if len(D) == 2:
-            return D
-        u1, u0, v1, v0 = D
-        return (u0, u1, 1), _trim((v0, v1), 0)
-
-    def finish(u21, u20, v21, v20, e3, e2, r, s1, s0):
-        """(U', V') from r, r s = s1 x + s0, the operand (U2, V2) and the x^3
-        and x^2 coefficients e3, e2 of U1 U2.  With s = lead (x + c) and
-        l = (x + c) U2, U1 U2 U' = (l + V2/lead)^2 - f/lead^2, whose x^5 and
-        x^4 coefficients give U', and V' = -(lead l + V2) mod U'."""
-        w = pow(r * s1, -1, p)  # the one inversion
-        lead = s1 * s1 % p * w % p  # s1 / r
-        il = r * r % p * w % p  # 1 / lead
-        il2 = il * il % p
-        c = s0 * r % p * w % p  # s0 / s1
-        l2, l1, l0 = u21 + c, (u21 * c + u20) % p, u20 * c % p
-        u1 = (2 * l2 - il2 - e3) % p
-        u0 = (l2 * l2 + 2 * (l1 + v21 * il) - f4 * il2 - u1 * e3 - e2) % p
-        t = l2 - u1
-        return u1, u0, (lead * (u1 * t + u0 - l1) - v21) % p, (lead * (u0 * t - l0) - v20) % p
-
-    def add(P, Q):
-        if len(P) == 4 == len(Q):
-            u11, u10, v11, v10 = P
-            u21, u20, v21, v20 = Q
-            z1, z2 = u11 - u21, u20 - u10
-            z3 = (u11 * z1 + z2) % p  # r / U2 = z1 x + z3 mod U1
-            r = (z2 * z3 + z1 * z1 * u10) % p
-            w0, w1 = v10 - v20, v11 - v21
-            a, b = z3 * w0 % p, z1 * w1 % p
-            s1 = ((z3 + z1) * (w0 + w1) - a - b * (1 + u11)) % p
-            if r and s1:
-                s0 = (a - u10 * b) % p
-                return finish(u21, u20, v21, v20, u11 + u21, u10 + u20 + u11 * u21, r, s1, s0)
-        return state(*_cantor_add(2, F, f, pair(P), pair(Q)))
-
-    def double(P):
-        if len(P) == 4:
-            u1, u0, v1, v0 = P
-            t1, t0 = 2 * v1, 2 * v0
-            w3 = u1 * t1 % p
-            i1, i0 = -t1, t0 - w3  # r / 2V = i1 x + i0 mod U
-            r = (u0 * t1 * t1 + t0 * i0) % p
-            a2 = f4 - u1  # (f - V^2)/U = x^3 + a2 x^2 + a1 x + a0
-            a1 = (f3 - u1 * a2 - u0) % p
-            a0 = (f2 - v1 * v1 - u1 * a1 - u0 * a2) % p
-            k1 = (u1 * (u1 - a2) - u0 + a1) % p  # k = (f - V^2)/U mod U
-            k0 = (u0 * (u1 - a2) + a0) % p
-            a, b = k0 * i0 % p, k1 * i1 % p
-            s1 = ((i0 + i1) * (k0 + k1) - a - b * (1 + u1)) % p
-            if r and s1:
-                s0 = (a - u0 * b) % p
-                return finish(u1, u0, v1, v0, 2 * u1, 2 * u0 + u1 * u1, r, s1, s0)
-        return state(*_cantor_double(2, F, f, pair(P)))
-
-    def negate(D):
-        if len(D) == 4:
-            return D[0], D[1], -D[2] % p, -D[3] % p
-        return _negate(F, D)
-
-    return state, pair, double, add, negate
-
-
 def _naf4(n):
     """Width-4 NAF of n > 0, least significant digit first: each digit is 0
     or odd in (-8, 8), and any two nonzero digits are at least four places
@@ -576,24 +444,27 @@ def scalar_mul(n, d):
     additions, negative digits taking the negation, which is free.
 
     D and f are lifted once to F, the join of their field objects, and the
-    window is walked on payloads with one set of steps: when F is a base
-    context for a prime field (k = 1), the curve's own or another, the
-    closed forms of _chord_tangent (g = 1) and _genus2 (g = 2), and
-    otherwise the Cantor cores _cantor_double, _cantor_add and _negate on
-    the pairs themselves.  Only the result is built as a MumfordDivisor.  It lies
-    over F for every n, unless it is the zero class, which is
-    zero_class(curve); its value and encoding are Cantor's.
+    window is walked on payloads with one set of steps: the Cantor cores
+    _cantor_double, _cantor_add and _negate, and when F is a base context
+    for a prime field (k = 1), the curve's own or another, and g <= 3,
+    the closed forms _chord_tangent (g = 1), _genus2 (g = 2) or _genus3
+    (g = 3) of closed_forms, which hand each step they do not cover (an
+    operand of degree < g, U1 and U2 or U and 2V with a common root, a
+    result of degree < g) to one of the Cantor cores.  Only the result is
+    built as a MumfordDivisor.  It lies over F for every n, unless it is
+    the zero class, which is zero_class(curve); its value and encoding are
+    Cantor's.
     """
     n = _int_value(n, "scalar")
     curve, g = d.curve, d.curve.g
     if n == 0:
         return zero_class(curve)
     F, (U, V, f) = lifted(d.U.field, d.U, d.V, curve.f)
-    if F.tower is not F and F.k == 1 and g <= 2:
-        state, pair, *law = (_chord_tangent if g == 1 else _genus2)(F, f)
-        return _divisor(curve, F, *pair(_walk(n, state(U, V), *law)))
     law = partial(_cantor_double, g, F, f), partial(_cantor_add, g, F, f), partial(_negate, F)
-    return _divisor(curve, F, *_walk(n, (U, V), *law))
+    if F.tower is F or F.k != 1 or g > 3:
+        return _divisor(curve, F, *_walk(n, (U, V), *law))
+    state, pair, *law = (_chord_tangent, _genus2, _genus3)[g - 1](F, f, *law)
+    return _divisor(curve, F, *pair(_walk(n, state(U, V), *law)))
 
 
 def torsion_scan(curve, n_max):

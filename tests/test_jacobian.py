@@ -2,11 +2,12 @@
 
 import random
 import re
-from functools import partial
+from functools import partial, reduce
+from itertools import combinations
 
 import pytest
 
-from jachalf import jacobian
+from jachalf import closed_forms, jacobian
 from jachalf.errors import (
     CtxMismatch,
     CurveMismatch,
@@ -392,7 +393,7 @@ def _ladder(n, d):
 def _test_curve(p, g, rng, n_points, half):
     """A random curve over F_p with f2 != 0, which the g = 1 chord and
     tangent rules subtract, n_points points with distinct x over F_p, and,
-    if half is set, a point with a half over F_p."""
+    if half is set, a class over F_p that _low_double finds."""
     ctx = ctx_new(p, [1])
     while True:
         if p == P61:
@@ -401,7 +402,7 @@ def _test_curve(p, g, rng, n_points, half):
             curve = random_curve(ctx, g, rng)
         if curve.f.coeffs[2].is_zero() or len(_points(curve, rng)) < n_points:
             continue
-        if not half or _half_of_a_point(curve, rng) is not None:
+        if not half or _low_double(curve, rng) is not None:
             return curve
 
 
@@ -423,12 +424,38 @@ def _point_classes(curve, rng, n):
 
 
 def _half_of_a_point(curve, rng):
-    """A class over curve.ctx whose double is a point class, or None."""
+    """A class over curve.ctx whose double is a point class, or None.  The
+    roots lie in curve.ctx, so a point has a half there exactly when every
+    a - alpha is a square (PAPER.md); no other point is halved."""
     ctx = curve.ctx
     for pt in _points(curve, rng):
+        if not all((pt.a - r).is_square() for r in curve.roots):
+            continue
         for h in halve(pt):
             if h.U.field is ctx and h.V.field is ctx:
                 return h.divisor
+    return None
+
+
+def _low_double(curve, rng):
+    """A class over curve.ctx whose double has degree 1 (a half of a point),
+    or else, at g = 3, one whose double has degree < 3; None if there is
+    neither.  At g = 3 a point has a half over F_p only when its seven
+    a - alpha are squares: at p = 2^61 - 1 about once in 2^7 points, so it
+    draws points until one has, and over F_13 never, since F_13 has six
+    nonzero squares, so it searches the sums of three points."""
+    half = _half_of_a_point(curve, rng)
+    if half is not None or curve.g < 3:
+        return half
+    if curve.ctx.p == P61:
+        while half is None:
+            half = _half_of_a_point(curve, rng)
+        return half
+    pts = _point_classes(curve, rng, 40)
+    for ds in combinations(pts + [negate(P) for P in pts], curve.g):
+        d = reduce(add, ds)
+        if d.U.degree() == curve.g and double(d).U.degree() < curve.g:
+            return d
     return None
 
 
@@ -441,25 +468,49 @@ def _fallback_classes(curve, rng):
     out = [(zero_class(curve), "zero"), (P, "deg U = 1"), (W[0], "2-torsion")]
     if g == 1:
         return [(d, why, False) for d, why in out]
-    return [(d, why, True) for d, why in out] + [
+    out = [(d, why, True) for d, why in out] + [
         (add(W[0], W[1]), "2-torsion", True),
         (add(W[2], P), "a Weierstrass point in the support", True),
-        (_half_of_a_point(curve, rng), "a double of degree 1 (s1 = 0)", True),
-        (add(P, Q), "generic", False),
-        (add(Q, negate(R)), "generic", False),
+        (_low_double(curve, rng), "a double of lower degree (s1 = 0, s2 = 0)", True),
+    ]
+    if g == 2:
+        return out + [(add(P, Q), "generic", False), (add(Q, negate(R)), "generic", False)]
+    return out + [
+        (add(P, Q), "deg U = 2", True),
+        (add(add(W[0], W[1]), W[2]), "2-torsion of degree 3", True),
+        (add(add(W[2], P), Q), "a Weierstrass point in the support, deg U = 3", True),
+        (add(add(P, Q), R), "generic", False),
+        (add(add(P, Q), negate(R)), "generic", False),
     ]
 
 
 def _fallback_pairs(curve, rng):
     """(D1, D2, why, forced) over curve.ctx: pairs built to force the
     closed-form add to Cantor, and others."""
-    P, Q, R, S, T = _point_classes(curve, rng, 5)
+    P, Q, R, S, T, *U = _point_classes(curve, rng, 6)
     zero = zero_class(curve)
     W = [to_class(Point(curve, r, curve.ctx.zero())) for r in curve.roots]
     if curve.g == 1:
         pairs = [(P, Q), (P, P), (P, negate(P)), (P, zero), (zero, P), (W[0], W[0]), (W[0], P)]
         return [(d1, d2, "chord and tangent", False) for d1, d2 in pairs]
     PQ, RS = add(P, Q), add(R, S)
+    if curve.g == 3:
+        PQR, STU, ST = add(PQ, R), add(add(S, T), U[0]), add(S, T)
+        return [
+            (PQR, STU, "generic", False),
+            (add(PQ, negate(R)), STU, "generic", False),
+            (PQR, add(add(W[0], W[1]), W[2]), "2-torsion", False),
+            (add(add(W[2], P), Q), add(RS, T), "a Weierstrass point in the support", False),
+            (PQR, zero, "zero", True),
+            (P, STU, "deg U = 1", True),
+            (STU, PQ, "deg U = 2", True),
+            (PQR, add(P, ST), "U1 and U2 share a root", True),
+            (PQR, add(negate(P), ST), "U1 and U2 share a root, V1 != V2 there", True),
+            (PQR, PQR, "D1 = D2", True),
+            (PQR, negate(PQR), "D1 = -D2", True),
+            (PQR, add(ST, negate(PQR)), "a sum of degree 2 (s2 = 0)", True),
+            (PQR, add(S, negate(PQR)), "a sum of degree 1 (s2 = 0)", True),
+        ]
     return [
         (PQ, RS, "generic", False),
         (PQ, add(W[0], W[1]), "2-torsion", False),
@@ -475,19 +526,23 @@ def _fallback_pairs(curve, rng):
 
 
 def _needs_cantor(ds, total):
-    """Whether the g = 2 closed forms hand the sum or double of ds, equal
-    to total, to Cantor: an operand with deg U < 2, r = 0 (U1 and U2, or U
-    and 2V, share a root) or deg U < 2 for the total (s1 = 0)."""
+    """Whether the g = 2 or g = 3 closed forms hand the sum or double of ds,
+    equal to total, to Cantor: an operand with deg U < g, r = 0 (U1 and U2,
+    or U and 2V, share a root) or deg U < g for the total (s1 = 0 at g = 2,
+    s2 = 0 at g = 3)."""
     U1, U2 = ds[0].U, ds[-1].U
     shared = gcd(U1, U2 if len(ds) == 2 else ds[0].V + ds[0].V)
-    return min(U1.degree(), U2.degree(), total.U.degree()) < 2 or shared.degree() > 0
+    return min(U1.degree(), U2.degree(), total.U.degree()) < ds[0].curve.g or shared.degree() > 0
 
 
 def _law_step(curve, op, *ds):
-    """One add or double of scalar_mul's closed forms, as a class."""
-    F = curve.ctx
-    law = jacobian._chord_tangent if curve.g == 1 else jacobian._genus2
-    state, pair, double, add, _ = law(F, curve.f.pc)
+    """One add or double of scalar_mul's closed forms for the curve's genus,
+    as a class."""
+    F, f, g = curve.ctx, curve.f.pc, curve.g
+    cantor = (partial(jacobian._cantor_double, g, F, f), partial(jacobian._cantor_add, g, F, f),
+              partial(jacobian._negate, F))
+    law = (closed_forms._chord_tangent, closed_forms._genus2, closed_forms._genus3)[g - 1]
+    state, pair, double, add, _ = law(F, f, *cantor)
     step = add if op == "add" else double
     out = step(*(state(d.U.pc, d.V.pc) for d in ds))
     return jacobian._divisor(curve, F, *pair(out))
@@ -601,9 +656,9 @@ class TestScalarMul:
                     assert scalar_mul(n, d).encode() == _ladder(n, d).encode()
 
     @pytest.mark.parametrize("p", [13, P61], ids=["F13", "F_p61"])
-    @pytest.mark.parametrize("g", [1, 2])
+    @pytest.mark.parametrize("g", [1, 2, 3])
     def test_closed_forms_match_binary_ladder(self, g, p):
-        """The closed-form walk for g = 1, 2 over F_p against the binary
+        """The closed-form walk for g = 1, 2, 3 over F_p against the binary
         ladder on the generic add, by value, encoding and field object, for
         classes that send its steps to Cantor.  Classes over the tower walk
         on the Cantor cores, and classes over a second context object for F_p
@@ -631,14 +686,15 @@ class TestScalarMul:
                     assert fast.U.field is slow.U.field and fast.V.field is slow.V.field
 
     @pytest.mark.parametrize("p", [13, P61], ids=["F13", "F_p61"])
-    @pytest.mark.parametrize("g", [1, 2])
+    @pytest.mark.parametrize("g", [1, 2, 3])
     def test_closed_form_steps_take_every_fallback(self, g, p, monkeypatch):
         """Each add and double of the closed forms against Cantor's add, on
-        the classes and pairs that force each fallback to Cantor: deg U < 2,
+        the classes and pairs that force each fallback to Cantor: deg U < g,
         2-torsion, a Weierstrass point in the support, U1 and U2 sharing a
-        root, a sum or a double of degree 1 (s1 = 0).  g = 1 has none."""
+        root, D1 = +-D2, a sum or a double of degree < g (s1 = 0 at g = 2,
+        s2 = 0 at g = 3).  g = 1 has none."""
         rng = random.Random(20 * p + g)
-        curve = _test_curve(p, g, rng, 5, False)
+        curve = _test_curve(p, g, rng, max(5, 2 * g), False)
         steps = [("add", (d1, d2), *rest) for d1, d2, *rest in _fallback_pairs(curve, rng)]
         curve = _test_curve(p, g, rng, 3, True)
         steps += [("double", (d,), *rest) for d, *rest in _fallback_classes(curve, rng)]
@@ -646,7 +702,7 @@ class TestScalarMul:
         closed = 0
         for op, ds, why, forced in steps:
             want = add(ds[0], ds[-1])
-            by_cantor = g == 2 and _needs_cantor(ds, want)
+            by_cantor = g > 1 and _needs_cantor(ds, want)
             assert by_cantor or not forced, why
             calls.update(add=0, double=0)
             assert _law_step(ds[0].curve, op, *ds).encode() == want.encode(), why
@@ -673,24 +729,48 @@ class TestScalarMul:
             assert _law_step(curve, "double", d1).encode() == twice.encode()
         assert calls == {"add": 0, "double": 0}
 
+    def test_genus3_steps_at_large_prime(self, monkeypatch):
+        """The g = 3 add and double in closed form against Cantor's add on
+        600 random pairs of classes P + Q + R and S + T + U, six distinct
+        points, at p = 2^61 - 1, with no step taken by Cantor.  The random
+        roots make every coefficient of f nonzero."""
+        rng = random.Random(3)
+        ctx = ctx_new(P61, [1])
+        curve = curve_new(ctx, [rng.randrange(P61) for _ in range(7)])
+        assert all(c for c in curve.f.pc)
+        pts = _point_classes(curve, rng, 40)
+        pairs = []
+        for _ in range(600):
+            P, Q, R, S, T, U = rng.sample(pts, 6)
+            d1, d2 = add(add(P, Q), R), add(add(S, T), U)
+            pairs.append((d1, d2, add(d1, d2), add(d1, d1)))
+        calls = _count_cantor(monkeypatch)
+        for d1, d2, total, twice in pairs:
+            assert _law_step(curve, "add", d1, d2).encode() == total.encode()
+            assert _law_step(curve, "double", d1).encode() == twice.encode()
+        assert calls == {"add": 0, "double": 0}
+
     def test_second_context_walks_in_closed_form(self, monkeypatch):
-        """A g = 2 class over a second context object for F_p, p = 2^61 - 1,
-        walks the closed forms as one over the curve's context does: no
-        step is Cantor's, and each multiple has the same encoding and lies
-        over that second object."""
+        """A g = 2 or g = 3 class over a second context object for F_p,
+        p = 2^61 - 1, walks the closed forms as one over the curve's
+        context does: no step is Cantor's, and each multiple has the same
+        encoding and lies over that second object."""
         rng = random.Random(16)
         ctx, other = ctx_new(P61, [1]), ctx_new(P61, [1])
-        curve = curve_new(ctx, [rng.randrange(P61) for _ in range(5)])
-        P, Q = _point_classes(curve, rng, 2)
-        d = add(P, Q)
-        d_other = MumfordDivisor(curve, Poly(other, d.U.coeffs), Poly(other, d.V.coeffs))
-        scalars = [rng.getrandbits(61) for _ in range(5)]
         calls = _count_cantor(monkeypatch)
-        want = [scalar_mul(n, d) for n in scalars]
-        got = [scalar_mul(n, d_other) for n in scalars]
-        assert calls == {"add": 0, "double": 0}
-        assert [m.encode() for m in got] == [m.encode() for m in want]
-        assert all(m.U.field is other and m.V.field is other for m in got)
+        for g in (2, 3):
+            curve = curve_new(ctx, [rng.randrange(P61) for _ in range(2 * g + 1)])
+            d = zero_class(curve)
+            for P in _point_classes(curve, rng, g):
+                d = add(d, P)
+            d_other = MumfordDivisor(curve, Poly(other, d.U.coeffs), Poly(other, d.V.coeffs))
+            scalars = [rng.getrandbits(61) for _ in range(5)]
+            calls.update(add=0, double=0)
+            want = [scalar_mul(n, d) for n in scalars]
+            got = [scalar_mul(n, d_other) for n in scalars]
+            assert calls == {"add": 0, "double": 0}, g
+            assert [m.encode() for m in got] == [m.encode() for m in want]
+            assert all(m.U.field is other and m.V.field is other for m in got)
 
     @pytest.mark.parametrize("n", [2.9, "3", True, None])
     def test_non_integer_scalar_is_refused(self, p42, n):

@@ -26,23 +26,41 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT = 120  # seconds per pytest run
 JAC, HALF = "src/jachalf/jacobian.py", "src/jachalf/halving.py"
+CLOSED = "src/jachalf/closed_forms.py"
 ERR, FIELD = "src/jachalf/errors.py", "src/jachalf/field.py"
 RAT, POLY, CLI = "src/jachalf/rationality.py", "src/jachalf/poly.py", "src/jachalf/cli.py"
 T_JAC, T_HALF = "tests/test_jacobian.py::", "tests/test_halving.py::"
 T_FIELD, T_RAT = "tests/test_field.py::", "tests/test_rationality.py::"
 T_POLY = "tests/test_poly.py::"
 FALLBACK_2 = T_JAC + "TestScalarMul::test_closed_form_steps_take_every_fallback[2-F13]"
+FALLBACK_3 = T_JAC + "TestScalarMul::test_closed_form_steps_take_every_fallback[3-F13]"
+GENUS3_P61 = T_JAC + "TestScalarMul::test_genus3_steps_at_large_prime"
 BY_VALUE = T_JAC + "test_cantor_law_compares_by_value"
 
 MUTANTS = [
-    # _genus2: a step with r = 0 or s1 = 0 must go to Cantor
-    (JAC, "if r and s1:\n                s0 = (a - u10 * b)",
+    # _genus2: a step with r = 0 or s1 = 0 must go to Cantor, and a class of
+    # degree < 2 is negated by Cantor's negate
+    (CLOSED, "if r and s1:\n                s0 = (a - u10 * b)",
      "if s1:\n                s0 = (a - u10 * b)", [FALLBACK_2]),
-    (JAC, "if r and s1:\n                s0 = (a - u0 * b)",
+    (CLOSED, "if r and s1:\n                s0 = (a - u0 * b)",
      "if r:\n                s0 = (a - u0 * b)", [FALLBACK_2]),
-    (JAC, "- f4 * il2 ", "", [T_JAC + "TestScalarMul::test_genus2_steps_at_large_prime"]),
+    (CLOSED, "- f4 * il2 ", "", [T_JAC + "TestScalarMul::test_genus2_steps_at_large_prime"]),
+    (CLOSED, "return cantor_negate(D)\n", "return D\n",
+     [T_JAC + "TestScalarMul::test_closed_forms_match_binary_ladder[2-F13]"]),
+    # _genus3: a step with deg U < 3, r = 0 or s2 = 0 must go to Cantor, and
+    # the reductions keep every coefficient of f they read
+    (CLOSED, "if len(P) == 6 == len(Q):", "if len(P) == 6:", [FALLBACK_3]),
+    (CLOSED, "if r and rs2:\n                e3 =", "if rs2:\n                e3 =", [FALLBACK_3]),
+    (CLOSED, "if r and rs2:\n                e3 =", "if r:\n                e3 =", [FALLBACK_3]),
+    (CLOSED, "if len(P) == 6:", "if True:", [FALLBACK_3]),
+    (CLOSED, "if r and rs2:\n                return finish(", "if rs2:\n                return finish(",
+     [FALLBACK_3]),
+    (CLOSED, "if r and rs2:\n                return finish(", "if r:\n                return finish(",
+     [FALLBACK_3]),
+    (CLOSED, "- f6 * il2 ", "", [GENUS3_P61]),
+    (CLOSED, "w0 = (f3 - 2 * v2 * v1", "w0 = (-2 * v2 * v1", [GENUS3_P61]),
     # _chord_tangent: the chord rule's x3 = lambda^2 - f2 - x1 - x2
-    (JAC, "lam * lam - f2 - x1 - x2", "lam * lam - x1 - x2",
+    (CLOSED, "lam * lam - f2 - x1 - x2", "lam * lam - x1 - x2",
      [T_JAC + "TestScalarMul::test_closed_forms_match_binary_ladder[1-F13]"]),
     # _cantor_double: the first reduction step subtracts k^2
     (JAC, "divide(psub(F, W, times(twoV, k)), U)[0], times(k, k))",
@@ -51,8 +69,6 @@ MUTANTS = [
     # _reduce and _negate return tuples, which the scan compares by value
     (JAC, "return tuple(pmonic(F, U3)), tuple(V3)", "return pmonic(F, U3), V3", [BY_VALUE]),
     (JAC, "return U, tuple(pneg(F, V))", "return U, tuple(V)", [BY_VALUE]),
-    (JAC, "return _negate(F, D)", "return D",
-     [T_JAC + "TestScalarMul::test_closed_forms_match_binary_ladder[2-F13]"]),
     # torsion_scan: nP = 0 as ceil(n/2) P = -floor(n/2) P, and its root check
     (JAC, "== negate(mult[n // 2])", "== mult[n // 2]", [T_JAC + "TestTorsionScan::test_g3_clean"]),
     (JAC, "if T.mul(s, s) != fx:", "if False:",
