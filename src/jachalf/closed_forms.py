@@ -4,19 +4,33 @@ Over F_p (k = 1) a class of full degree g <= 3 is a flat tuple of ints, and
 one add or double is a fixed formula with one inversion, pow(., -1, p): the
 chord-and-tangent rule for g = 1, and Harley's composition followed by
 reduction for g = 2 (one step, after Lange) and g = 3 (two steps, after
-Pelzl, Wollinger, Guajardo and Paar, and Costello and Lauter).  Each
-scalar_mul call builds its law, _chord_tangent, _genus2 or _genus3, from
-the field F, the payloads of f and the Cantor steps, and the law returns
-(state, pair, double, add, negate): state and pair convert a reduced
-payload pair (U, V) to the law's representation and back, and the other
-three are the steps of jacobian._walk.
+Pelzl, Wollinger, Guajardo and Paar, and Costello and Lauter).
 
-A step the g = 2 and g = 3 formulas do not cover (an operand with
-deg U < g, a resultant r = 0, or a vanishing leading coefficient s1 or s2,
-so that the result has deg U < g) is one step of the Cantor law on the
-reduced payload pairs: the cantor_double, cantor_add and cantor_negate the
-caller passes, jacobian's _cantor_double, _cantor_add and _negate with g,
-F and f bound.  Classes of lower degree keep that pair form.  The result
+law(F, f, cantor_double, cantor_add, cantor_negate) is the one frame of
+the three: it reads g from len(f) = 2g + 2 and returns (state, pair,
+double, add, negate), where state and pair convert a reduced payload pair
+(U, V) to the law's representation and back, and the other three are the
+steps of jacobian._walk.  The frame alone knows the layout:
+
+  - a class with deg U = g is the int tuple (u_{g-1}, ..., u_0,
+    v_{g-1}, ..., v_0) of U = x^g + u_{g-1} x^{g-1} + ... + u_0 and V, so
+    at g = 1 the point (x, y) is (u0, v0) = (-x, y);
+  - any other class, the zero class ((1,), ()) included, is its reduced
+    payload pair (U, V).
+
+The frame tells them apart by the full-degree test D[0].__class__ is int
+(at g = 1 both have length 2).  Negation is free, since the hyperelliptic
+involution acts as -1 on the Jacobian: negate negates the v's of a flat
+tuple and hands a pair to cantor_negate.  A step the formulas do not cover
+(an operand with deg U < g, U1 and U2 or U and 2V with a common root, or a
+result with deg U < g) is one step of the Cantor law on the reduced pairs,
+state(*cantor_x(pair(...))), wrapped once here from the cantor_double and
+cantor_add the caller passes: jacobian's _cantor_double, _cantor_add and
+_negate with g, F and f bound.
+
+The formulas, _chord_tangent, _genus2 and _genus3, map (p, f, and the two
+wrapped Cantor steps) to (double, add); each tests its operands and its
+nonzero denominators inline and calls the wrapped step itself.  The result
 equals Cantor's, so scalar_mul's values and encodings do not depend on the
 path.  Nothing is kept between calls.
 """
@@ -24,61 +38,73 @@ path.  Nothing is kept between calls.
 from .field import _trim
 
 
-def _chord_tangent(F, f, *_):
-    """The g = 1 group law over F_p on int payloads, in affine coordinates.
-
-    A class is the point (x, y), or None for the zero class.  Returns
-    (state, pair, double, add, negate): state and pair convert from and to
-    reduced payload pairs (U, V) = (x - x0, y0).  P + Q is the chord rule,
-    lambda = (y2 - y1)/(x2 - x1), x3 = lambda^2 - f2 - x1 - x2 and
-    y3 = -(y1 + lambda (x3 - x1)); 2P is the tangent rule of
-    jacobian._double_point.  The Cantor steps a caller passes are not
-    needed: the two rules cover every class.
-    """
-    p = F.p
-    _, f1, f2, _ = f
+def law(F, f, cantor_double, cantor_add, cantor_negate):
+    """(state, pair, double, add, negate) of the closed-form law for the
+    genus of f over the prime field F, on the layout of the module
+    docstring."""
+    p, g = F.p, len(f) // 2 - 1
 
     def state(U, V):
-        return (-U[0] % p, V[0] if V else 0) if len(U) == 2 else None
+        if len(U) <= g:
+            return U, V
+        return (*U[-2::-1], *(0,) * (g - len(V)), *V[::-1])
 
-    def pair(P):
-        return ((1,), ()) if P is None else ((-P[0] % p, 1), (P[1],))
+    def pair(D):
+        if D[0].__class__ is int:
+            return (*D[g - 1::-1], 1), _trim(D[:g - 1:-1], 0)
+        return D
+
+    def negate(D):
+        if D[0].__class__ is int:
+            return (*D[:g], *[-v % p for v in D[g:]])
+        return cantor_negate(D)
+
+    def double(D):
+        return state(*cantor_double(pair(D)))
+
+    def add(D1, D2):
+        return state(*cantor_add(pair(D1), pair(D2)))
+
+    formulas = (_chord_tangent, _genus2, _genus3)[g - 1]
+    return (state, pair, *formulas(p, f, double, add), negate)
+
+
+def _chord_tangent(p, f, cantor_double, cantor_add):
+    """The g = 1 group law over F_p: the chord and tangent rules on the
+    point (x, y) as (u, y) = (-x, y).
+
+    P + Q, u1 != u2, is the chord rule: lambda = (y2 - y1)/(u1 - u2),
+    u3 = f2 - u1 - u2 - lambda^2 and y3 = lambda (u3 - u1) - y1.  2P, y != 0,
+    is the tangent rule with lambda = f'(x)/2y = ((3u - 2f2) u + f1)/2y.
+    Q = +-P, a double with y = 0 and the zero class take the Cantor steps.
+    """
+    _, f1, f2, _ = f
 
     def double(P):
-        if P is None or not P[1]:
-            return None
-        x, y = P
-        lam = ((3 * x + 2 * f2) * x + f1) * pow(2 * y, -1, p) % p
-        x3 = (lam * lam - f2 - 2 * x) % p
-        return x3, -(y + lam * (x3 - x)) % p
+        u, y = P
+        if y and u.__class__ is int:
+            lam = ((3 * u - 2 * f2) * u + f1) * pow(2 * y, -1, p) % p
+            u3 = (f2 - 2 * u - lam * lam) % p
+            return u3, (lam * (u3 - u) - y) % p
+        return cantor_double(P)
 
     def add(P, Q):
-        if P is None:
-            return Q
-        if Q is None:
-            return P
-        x1, y1 = P
-        x2, y2 = Q
-        if x1 == x2:  # Q = P or Q = -P
-            return double(P) if y1 == y2 else None
-        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-        x3 = (lam * lam - f2 - x1 - x2) % p
-        return x3, -(y1 + lam * (x3 - x1)) % p
+        u1, y1 = P
+        u2, y2 = Q
+        if u1 != u2 and u1.__class__ is int is u2.__class__:
+            lam = (y2 - y1) * pow(u1 - u2, -1, p) % p
+            u3 = (f2 - u1 - u2 - lam * lam) % p
+            return u3, (lam * (u3 - u1) - y1) % p
+        return cantor_add(P, Q)
 
-    def negate(P):
-        return None if P is None else (P[0], -P[1] % p)
-
-    return state, pair, double, add, negate
+    return double, add
 
 
-def _genus2(F, f, cantor_double, cantor_add, cantor_negate):
+def _genus2(p, f, cantor_double, cantor_add):
     """The g = 2 group law over F_p on int payloads: Harley's composition
     with one reduction step, in Lange's affine form (AAECC 15, 2005), h = 0.
 
-    A class with deg U = 2 is the tuple (u1, u0, v1, v0); any other class
-    is its reduced payload pair (U, V).  Returns (state, pair, double, add,
-    negate) as _chord_tangent does.
-
+    Its operands of degree 2 are the tuples (u1, u0, v1, v0).
     D1 + D2, both of degree 2: with r = res(U1, U2) and
     s = (V1 - V2)/U2 mod U1 = (s1 x + s0), the sum is
     U' = (s (s U2 + 2 V2) - (f - V2^2)/U2)/U1 made monic and
@@ -86,22 +112,9 @@ def _genus2(F, f, cantor_double, cantor_add, cantor_negate):
     s = ((f - V^2)/U)/(2V) mod U, r = res(U, 2V).  Both compute r s and
     invert r s1 once.  When r = 0 (U1, U2 share a root, or a Weierstrass
     point lies in the support of D) or s1 = 0 (deg U' < 2), and whenever
-    an operand has deg U < 2, the step is cantor_add or cantor_double on
-    the pairs, and cantor_negate negates them.
+    an operand has deg U < 2, the step is cantor_add or cantor_double.
     """
-    p = F.p
     _, _, f2, f3, f4, _ = f
-
-    def state(U, V):
-        if len(U) != 3:
-            return U, V
-        return U[1], U[0], V[1] if len(V) == 2 else 0, V[0] if V else 0
-
-    def pair(D):
-        if len(D) == 2:
-            return D
-        u1, u0, v1, v0 = D
-        return (u0, u1, 1), _trim((v0, v1), 0)
 
     def finish(u21, u20, v21, v20, e3, e2, r, s1, s0):
         """(U', V') from r, r s = s1 x + s0, the operand (U2, V2) and the x^3
@@ -132,7 +145,7 @@ def _genus2(F, f, cantor_double, cantor_add, cantor_negate):
             if r and s1:
                 s0 = (a - u10 * b) % p
                 return finish(u21, u20, v21, v20, u11 + u21, u10 + u20 + u11 * u21, r, s1, s0)
-        return state(*cantor_add(pair(P), pair(Q)))
+        return cantor_add(P, Q)
 
     def double(P):
         if len(P) == 4:
@@ -151,17 +164,12 @@ def _genus2(F, f, cantor_double, cantor_add, cantor_negate):
             if r and s1:
                 s0 = (a - u0 * b) % p
                 return finish(u1, u0, v1, v0, 2 * u1, 2 * u0 + u1 * u1, r, s1, s0)
-        return state(*cantor_double(pair(P)))
+        return cantor_double(P)
 
-    def negate(D):
-        if len(D) == 4:
-            return D[0], D[1], -D[2] % p, -D[3] % p
-        return cantor_negate(D)
-
-    return state, pair, double, add, negate
+    return double, add
 
 
-def _genus3(F, f, cantor_double, cantor_add, cantor_negate):
+def _genus3(p, f, cantor_double, cantor_add):
     """The g = 3 group law over F_p on int payloads: Harley's composition
     with two reduction steps, deg 6 -> 4 -> 3, in affine coordinates with
     one inversion per step, as in Pelzl, Wollinger, Guajardo and Paar,
@@ -169,10 +177,7 @@ def _genus3(F, f, cantor_double, cantor_add, cantor_negate):
     elliptic curves" (CHES 2003), and Costello and Lauter, "Group law
     computations on Jacobians of hyperelliptic curves" (SAC 2011), h = 0.
 
-    A class with deg U = 3 is the tuple (u2, u1, u0, v2, v1, v0); any other
-    class is its reduced payload pair (U, V).  Returns (state, pair, double,
-    add, negate) as _chord_tangent does.
-
+    Its operands of degree 3 are the tuples (u2, u1, u0, v2, v1, v0).
     D1 + D2, both of degree 3: s = (V1 - V2)/U2 mod U1 = s2 x^2 + s1 x + s0
     comes from Cramer's rule on the product by U2 mod U1, whose determinant
     is r = res(U1, U2), as r s.  2D is the same with U1 = U2 = U and
@@ -183,23 +188,9 @@ def _genus3(F, f, cantor_double, cantor_add, cantor_negate):
     are needed, both from one inversion of r s2.  When r = 0 (U1 and U2
     share a root, D1 = +-D2, or a Weierstrass point lies in the support of
     a doubled D) or s2 = 0 (a result of degree < 3), and whenever an operand
-    has deg U < 3, the step is cantor_add or cantor_double on the pairs,
-    and cantor_negate negates them.
+    has deg U < 3, the step is cantor_add or cantor_double.
     """
-    p = F.p
     _, _, _, f3, f4, f5, f6, _ = f
-
-    def state(U, V):
-        if len(U) != 4:
-            return U, V
-        v0, v1, v2 = (*V, 0, 0, 0)[:3]
-        return U[2], U[1], U[0], v2, v1, v0
-
-    def pair(D):
-        if len(D) == 2:
-            return D
-        u2, u1, u0, v2, v1, v0 = D
-        return (u0, u1, u2, 1), _trim((v0, v1, v2), 0)
 
     def solve(u2, u1, u0, b2, b1, b0, w2, w1, w0):
         """(r, r s2, r s1, r s0) for s B = W mod U, deg B, deg W < 3: the
@@ -250,7 +241,7 @@ def _genus3(F, f, cantor_double, cantor_add, cantor_negate):
                 e2 = (a2 * u0 + a1 * u1 + a0 * u2) % p
                 return finish(u2, u1, u0, v2, v1, v0, a2 + u2, (a1 + u1 + a2 * u2) % p, e3, e2,
                               r, rs2, rs1, rs0)
-        return state(*cantor_add(pair(P), pair(Q)))
+        return cantor_add(P, Q)
 
     def double(P):
         if len(P) == 6:
@@ -265,9 +256,6 @@ def _genus3(F, f, cantor_double, cantor_add, cantor_negate):
             if r and rs2:
                 return finish(u2, u1, u0, v2, v1, v0, 2 * u2, 2 * u1 + u2 * u2,
                               2 * (u0 + u2 * u1), 2 * u2 * u0 + u1 * u1, r, rs2, rs1, rs0)
-        return state(*cantor_double(pair(P)))
+        return cantor_double(P)
 
-    def negate(D):
-        return cantor_negate(D) if len(D) == 2 else (*D[:3], -D[3] % p, -D[4] % p, -D[5] % p)
-
-    return state, pair, double, add, negate
+    return double, add

@@ -15,18 +15,12 @@ with poly.lifted and run the Cantor cores _cantor_add and _cantor_double,
 which take and return reduced payload pairs (U, V); _negate is (U, -V).
 scalar_mul and torsion_scan walk on reduced payload pairs only, with f
 lifted once per call.  scalar_mul picks the steps: when D and f meet in a
-base context for a prime field (k = 1) and g <= 3, the closed forms of
-the closed_forms module, on plain int tuples with one inversion per step: the
-chord-and-tangent rule for g = 1, Harley's composition with one reduction
-step in Lange's affine formulas ("Formulae for arithmetic on genus 2
-hyperelliptic curves", AAECC 15, 2005) for g = 2, and with two reduction
-steps, deg 6 -> 4 -> 3, after Pelzl, Wollinger, Guajardo and Paar (CHES
-2003) and Costello and Lauter (SAC 2011) for g = 3.  A step they do not
-cover (an operand with deg U < g, a resultant r = 0, or a result with
-deg U < g) is one step of the Cantor cores, which scalar_mul passes them.
-Every other curve and field, and torsion_scan over the tower, walk with
-the Cantor cores themselves: _cantor_double, _cantor_add and _negate with
-g, the field and f bound.
+base context for a prime field (k = 1) and g <= 3, closed_forms.law, the
+closed forms on plain int tuples with one inversion per step, and one step
+of the Cantor cores wherever the formulas do not cover one (see the
+closed_forms module).  Every other curve and field, and torsion_scan over
+the tower, walk with the Cantor cores themselves: _cantor_double,
+_cantor_add and _negate with g, the field and f bound.
 scalar_mul walks a width-4 signed-digit (NAF) expansion, odd digits in
 (-8, 8), taking negative digits from the steps' negate, which is free
 because the hyperelliptic involution acts as -1 on the Jacobian.
@@ -43,7 +37,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from .closed_forms import _chord_tangent, _genus2, _genus3
+from .closed_forms import law
 from .errors import (
     CurveMismatch,
     CtxMismatch,
@@ -447,24 +441,21 @@ def scalar_mul(n, d):
     window is walked on payloads with one set of steps: the Cantor cores
     _cantor_double, _cantor_add and _negate, and when F is a base context
     for a prime field (k = 1), the curve's own or another, and g <= 3,
-    the closed forms _chord_tangent (g = 1), _genus2 (g = 2) or _genus3
-    (g = 3) of closed_forms, which hand each step they do not cover (an
-    operand of degree < g, U1 and U2 or U and 2V with a common root, a
-    result of degree < g) to one of the Cantor cores.  Only the result is
-    built as a MumfordDivisor.  It lies over F for every n, unless it is
-    the zero class, which is zero_class(curve); its value and encoding are
-    Cantor's.
+    the closed forms of closed_forms.law, which hand each step they do not
+    cover to one of those Cantor cores.  Only the result is built as a
+    MumfordDivisor.  It lies over F for every n, unless it is the zero
+    class, which is zero_class(curve); its value and encoding are Cantor's.
     """
     n = _int_value(n, "scalar")
     curve, g = d.curve, d.curve.g
     if n == 0:
         return zero_class(curve)
     F, (U, V, f) = lifted(d.U.field, d.U, d.V, curve.f)
-    law = partial(_cantor_double, g, F, f), partial(_cantor_add, g, F, f), partial(_negate, F)
+    steps = partial(_cantor_double, g, F, f), partial(_cantor_add, g, F, f), partial(_negate, F)
     if F.tower is F or F.k != 1 or g > 3:
-        return _divisor(curve, F, *_walk(n, (U, V), *law))
-    state, pair, *law = (_chord_tangent, _genus2, _genus3)[g - 1](F, f, *law)
-    return _divisor(curve, F, *pair(_walk(n, state(U, V), *law)))
+        return _divisor(curve, F, *_walk(n, (U, V), *steps))
+    state, pair, *steps = law(F, f, *steps)
+    return _divisor(curve, F, *pair(_walk(n, state(U, V), *steps)))
 
 
 def torsion_scan(curve, n_max):

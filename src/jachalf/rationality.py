@@ -112,7 +112,10 @@ def _frobenius_orbits(curve):
         beta = alpha.frobenius()
         while beta != alpha:
             if beta not in index:
-                raise NonRationalCurve("root set is not Frobenius-stable")
+                raise NonRationalCurve(
+                    f"curve with roots {[r.encode() for r in curve.roots]}: "
+                    "f does not have F_p coefficients"
+                )
             orbit.append(index[beta])
             beta = beta.frobenius()
         seen.update(orbit)
@@ -144,11 +147,6 @@ def divisible_by_two_report(point):
     _require_rational_point(point)
     curve = point.curve
     p = curve.ctx.p
-    if not all(c.in_prime_field() for c in curve.f.coeffs):
-        raise NonRationalCurve(
-            f"curve with roots {[r.encode() for r in curve.roots]}: "
-            "f does not have F_p coefficients"
-        )
     a_int = point.a.as_prime_int()
 
     result = True

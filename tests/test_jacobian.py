@@ -491,8 +491,15 @@ def _fallback_pairs(curve, rng):
     zero = zero_class(curve)
     W = [to_class(Point(curve, r, curve.ctx.zero())) for r in curve.roots]
     if curve.g == 1:
-        pairs = [(P, Q), (P, P), (P, negate(P)), (P, zero), (zero, P), (W[0], W[0]), (W[0], P)]
-        return [(d1, d2, "chord and tangent", False) for d1, d2 in pairs]
+        return [
+            (P, Q, "generic", False),
+            (P, P, "D1 = D2", True),
+            (P, negate(P), "D1 = -D2", True),
+            (P, zero, "zero", True),
+            (zero, P, "zero", True),
+            (W[0], W[0], "2-torsion, D1 = D2", True),
+            (W[0], P, "a Weierstrass point", False),
+        ]
     PQ, RS = add(P, Q), add(R, S)
     if curve.g == 3:
         PQR, STU, ST = add(PQ, R), add(add(S, T), U[0]), add(S, T)
@@ -526,10 +533,10 @@ def _fallback_pairs(curve, rng):
 
 
 def _needs_cantor(ds, total):
-    """Whether the g = 2 or g = 3 closed forms hand the sum or double of ds,
-    equal to total, to Cantor: an operand with deg U < g, r = 0 (U1 and U2,
-    or U and 2V, share a root) or deg U < g for the total (s1 = 0 at g = 2,
-    s2 = 0 at g = 3)."""
+    """Whether the closed forms hand the sum or double of ds, equal to
+    total, to Cantor: an operand with deg U < g, r = 0 (U1 and U2, or U and
+    2V, share a root) or deg U < g for the total (s1 = 0 at g = 2, s2 = 0
+    at g = 3)."""
     U1, U2 = ds[0].U, ds[-1].U
     shared = gcd(U1, U2 if len(ds) == 2 else ds[0].V + ds[0].V)
     return min(U1.degree(), U2.degree(), total.U.degree()) < ds[0].curve.g or shared.degree() > 0
@@ -541,8 +548,7 @@ def _law_step(curve, op, *ds):
     F, f, g = curve.ctx, curve.f.pc, curve.g
     cantor = (partial(jacobian._cantor_double, g, F, f), partial(jacobian._cantor_add, g, F, f),
               partial(jacobian._negate, F))
-    law = (closed_forms._chord_tangent, closed_forms._genus2, closed_forms._genus3)[g - 1]
-    state, pair, double, add, _ = law(F, f, *cantor)
+    state, pair, double, add, _ = closed_forms.law(F, f, *cantor)
     step = add if op == "add" else double
     out = step(*(state(d.U.pc, d.V.pc) for d in ds))
     return jacobian._divisor(curve, F, *pair(out))
@@ -692,7 +698,7 @@ class TestScalarMul:
         the classes and pairs that force each fallback to Cantor: deg U < g,
         2-torsion, a Weierstrass point in the support, U1 and U2 sharing a
         root, D1 = +-D2, a sum or a double of degree < g (s1 = 0 at g = 2,
-        s2 = 0 at g = 3).  g = 1 has none."""
+        s2 = 0 at g = 3)."""
         rng = random.Random(20 * p + g)
         curve = _test_curve(p, g, rng, max(5, 2 * g), False)
         steps = [("add", (d1, d2), *rest) for d1, d2, *rest in _fallback_pairs(curve, rng)]
@@ -702,7 +708,7 @@ class TestScalarMul:
         closed = 0
         for op, ds, why, forced in steps:
             want = add(ds[0], ds[-1])
-            by_cantor = g > 1 and _needs_cantor(ds, want)
+            by_cantor = _needs_cantor(ds, want)
             assert by_cantor or not forced, why
             calls.update(add=0, double=0)
             assert _law_step(ds[0].curve, op, *ds).encode() == want.encode(), why

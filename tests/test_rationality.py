@@ -140,7 +140,7 @@ class TestRationalFactors:
     def test_nonstable_roots_rejected(self, f49):
         t = f49.generator()
         curve = curve_new(f49, [f49.from_int(0), f49.from_int(1), t])
-        with pytest.raises(NonRationalCurve):
+        with pytest.raises(NonRationalCurve, match=r"curve with roots \[.*\]: f does not have F_p"):
             rational_factors(curve)
 
 

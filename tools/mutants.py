@@ -13,7 +13,8 @@ Each pytest run is stopped after TIMEOUT seconds: a mutant whose tests run
 that long (a loop the mutation made endless, say) gets the verdict
 "timed out", which is a fault like a survivor.  Exits 1 when a mutant
 survives or times out, its old text does not occur exactly once, or pytest
-cannot run its tests.  A change to mutated code updates the list.
+cannot run its tests.  The summary line gives the wall time of the whole
+run.  A change to mutated code updates the list.
 """
 
 import os
@@ -21,6 +22,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,21 +34,30 @@ RAT, POLY, CLI = "src/jachalf/rationality.py", "src/jachalf/poly.py", "src/jacha
 T_JAC, T_HALF = "tests/test_jacobian.py::", "tests/test_halving.py::"
 T_FIELD, T_RAT = "tests/test_field.py::", "tests/test_rationality.py::"
 T_POLY = "tests/test_poly.py::"
+FALLBACK_1 = T_JAC + "TestScalarMul::test_closed_form_steps_take_every_fallback[1-F13]"
 FALLBACK_2 = T_JAC + "TestScalarMul::test_closed_form_steps_take_every_fallback[2-F13]"
 FALLBACK_3 = T_JAC + "TestScalarMul::test_closed_form_steps_take_every_fallback[3-F13]"
+LADDER_1 = T_JAC + "TestScalarMul::test_closed_forms_match_binary_ladder[1-F13]"
+LADDER_2 = T_JAC + "TestScalarMul::test_closed_forms_match_binary_ladder[2-F13]"
 GENUS3_P61 = T_JAC + "TestScalarMul::test_genus3_steps_at_large_prime"
 BY_VALUE = T_JAC + "test_cantor_law_compares_by_value"
 
 MUTANTS = [
-    # _genus2: a step with r = 0 or s1 = 0 must go to Cantor, and a class of
-    # degree < 2 is negated by Cantor's negate
+    # law, the frame: pair trims V, negate negates the v's of a flat class
+    # and hands a pair to Cantor's negate
+    (CLOSED, "_trim(D[:g - 1:-1], 0)", "D[:g - 1:-1]", [FALLBACK_1]),
+    (CLOSED, "*[-v % p for v in D[g:]]", "*D[g:]", [LADDER_1]),
+    (CLOSED, "return cantor_negate(D)\n", "return D\n", [LADDER_2]),
+    # _chord_tangent: Q = +-P and y = 0 go to Cantor, and u3 keeps f2
+    (CLOSED, "if u1 != u2 and u1.__class__", "if u1.__class__", [FALLBACK_1]),
+    (CLOSED, "if y and u.__class__", "if u.__class__", [FALLBACK_1]),
+    (CLOSED, "u3 = (f2 - u1 - u2 - lam * lam)", "u3 = (-u1 - u2 - lam * lam)", [LADDER_1]),
+    # _genus2: a step with r = 0 or s1 = 0 must go to Cantor
     (CLOSED, "if r and s1:\n                s0 = (a - u10 * b)",
      "if s1:\n                s0 = (a - u10 * b)", [FALLBACK_2]),
     (CLOSED, "if r and s1:\n                s0 = (a - u0 * b)",
      "if r:\n                s0 = (a - u0 * b)", [FALLBACK_2]),
     (CLOSED, "- f4 * il2 ", "", [T_JAC + "TestScalarMul::test_genus2_steps_at_large_prime"]),
-    (CLOSED, "return cantor_negate(D)\n", "return D\n",
-     [T_JAC + "TestScalarMul::test_closed_forms_match_binary_ladder[2-F13]"]),
     # _genus3: a step with deg U < 3, r = 0 or s2 = 0 must go to Cantor, and
     # the reductions keep every coefficient of f they read
     (CLOSED, "if len(P) == 6 == len(Q):", "if len(P) == 6:", [FALLBACK_3]),
@@ -59,9 +70,6 @@ MUTANTS = [
      [FALLBACK_3]),
     (CLOSED, "- f6 * il2 ", "", [GENUS3_P61]),
     (CLOSED, "w0 = (f3 - 2 * v2 * v1", "w0 = (-2 * v2 * v1", [GENUS3_P61]),
-    # _chord_tangent: the chord rule's x3 = lambda^2 - f2 - x1 - x2
-    (CLOSED, "lam * lam - f2 - x1 - x2", "lam * lam - x1 - x2",
-     [T_JAC + "TestScalarMul::test_closed_forms_match_binary_ladder[1-F13]"]),
     # _cantor_double: the first reduction step subtracts k^2
     (JAC, "divide(psub(F, W, times(twoV, k)), U)[0], times(k, k))",
      "divide(psub(F, W, times(twoV, k)), U)[0], pneg(F, times(k, k)))",
@@ -147,6 +155,7 @@ def _pytest(copy, tests):
 
 
 def main():
+    start = time.perf_counter()
     faults = 0
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
@@ -172,7 +181,8 @@ def main():
                     code, f"pytest exit {code}")
             faults += verdict != "killed"
             print(f"{i:2d} {verdict:>10}  {path}: {old.splitlines()[0].strip()!r}")
-    print(f"{len(MUTANTS) - faults} of {len(MUTANTS)} mutants killed")
+    print(f"{len(MUTANTS) - faults} of {len(MUTANTS)} mutants killed "
+          f"in {time.perf_counter() - start:.1f} s")
     return 1 if faults else 0
 
 
