@@ -4,12 +4,10 @@ The group law is Cantor composition followed by reduction, returning the
 unique fully reduced representative (U monic, deg V < deg U <= g, U | V^2 - f).
 It doubles as the independent verification oracle for the halving formulas.
 
-add is the generic law, pure Cantor.  double doubles a point class
-(x - a, b) by the tangent at (a, b): one inversion, and for g = 1 the
-classical tangent rule in place of a reduction step.  Every other class
-takes Cantor's doubling (Math. Comp. 48, 1987): one xgcd(U, 2V), U^2 as the
-composed U, and a first reduction step that never forms V^2; when
-gcd(U, 2V) != 1 (a Weierstrass point in the support) it is add(d, d).
+add is the generic law, pure Cantor.  double has one rule: a point class
+(x - a, b) doubles by the tangent at (a, b), one inversion, and for g = 1
+the classical tangent rule in place of a reduction step; every other class
+is add(d, d).
 add and double are thin wrappers: they lift their operands to payloads
 with poly.lifted and run the Cantor cores _cantor_add and _cantor_double,
 which take and return reduced payload pairs (U, V); _negate is (U, -V).
@@ -367,34 +365,15 @@ def double(d):
 
 def _cantor_double(g, F, f, D):
     """2D for the payload pair D = (U, V) as a reduced pair over F, equal to
-    _cantor_add of D with itself.
-
-    A point class (x - a, b) doubles by the tangent rule (_double_point).
-    Any other class takes Cantor's doubling: with c * 2V = 1 mod U and
-    W = (f - V^2)/U, the composed pair is U3 = U^2, V3 = V + U * (c W mod U).
-    The first reduction step, (f - V3^2)/U3 = (W - 2Vk)/U - k^2 with
-    k = c W mod U, never forms V3^2.  When gcd(U, 2V) != 1 (a Weierstrass
-    point in the support) this is _cantor_add.
+    _cantor_add of D with itself: a point class (x - a, b) doubles by the
+    tangent (_double_point), and every other class is _cantor_add(D, D).
     """
     U, V = D
     if len(U) == 1:
         return D
     if len(U) == 2:  # a point (a, b); b = 0 is 2-torsion
         return _double_point(g, F, F.neg(U[0]), V[0], f) if V else ((F._one,), ())
-    times, divide = F.polymul, partial(pdivmod, F)
-    twoV = padd(F, V, V)
-    g1, _, c = pxgcd(F, U, twoV)
-    if len(g1) != 1:
-        return _cantor_add(g, F, f, D, D)
-    W = divide(psub(F, f, times(V, V)), U)[0]
-    k = divide(times(c, W), U)[1]
-    U3 = times(U, U)
-    V3 = padd(F, V, times(U, k))
-    if len(U3) > g + 1:
-        U3n = pmonic(F, psub(F, divide(psub(F, W, times(twoV, k)), U)[0], times(k, k)))
-        V3 = divide(pneg(F, V3), U3n)[1]
-        U3 = U3n
-    return _reduce(g, F, f, U3, V3)
+    return _cantor_add(g, F, f, D, D)
 
 
 def _naf4(n):

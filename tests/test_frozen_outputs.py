@@ -35,6 +35,9 @@ CURVES = {
 DIVISORS = {
     # (0, 0) + (6, 4) on g2: a Weierstrass point in the support, gcd(U, 2V) = x
     "g2-weierstrass": {"U": [[0], [5], [1]], "V": [[0], [8]]},
+    # deg U = 2 classes over F_49 that are not point classes: Cantor's add(D, D)
+    "f49-deg2": {"U": [[5, 5], [2, 5], [1, 0]], "V": [[4, 2], [5, 5]]},
+    "g3f49-deg2": {"U": [[6, 2], [0, 4], [1, 0]], "V": [[4, 1], [2, 4]]},
 }
 
 # (curve, argv after --curve, line count, first line, sha256 of stdout)
@@ -128,6 +131,28 @@ CASES = [
         '{"points_scanned":133,"violations":[]}',
         "ff338e1de46d0382031c7d1eadd0984692d965ec7438d13b5a444d7b92c4dfa3",
     ),
+    (  # k = 2: the window walks the Cantor cores, not the closed forms
+        "f49", ["group", "mul", "--point", "[[1,1],[2,4]]", "--scalar", "1234567890123456789"],
+        1,
+        '{"U":[[0,3],[4,4],[1,0]],"V":[[5,3],[5,4]]}',
+        "ab9c975f864049c497796e0a71466487467e5cde4f787fc7db50b6a1d7c17e01",
+    ),
+    (
+        "f49", ["group", "double", "--divisor", "f49-deg2"], 1,
+        '{"U":[[1,0],[6,0],[1,0]],"V":[[3,1],[5,2]]}',
+        "33fc20f12f77b29571e16292019bd6b024b3bbb1f03206376ef6c4df4763db82",
+    ),
+    (
+        "g3f49", ["group", "mul", "--point", "[[2,1],[3,4]]", "--scalar", "1234567890123456789"],
+        1,
+        '{"U":[[1,6],[1,6],[4,1],[1,0]],"V":[[5,0],[0,0],[4,4]]}',
+        "4ea07f7de0d5a83c83712867de369bbee64bdc065b5cb1167ab9749d31dfd568",
+    ),
+    (
+        "g3f49", ["group", "double", "--divisor", "g3f49-deg2"], 1,
+        '{"U":[[2,3],[1,0],[6,5],[1,0]],"V":[[2,3],[6,4],[2,3]]}',
+        "c7e74437657def31cbd21db319ba2bc2aa5702f70abce26ddbd669fa1e6647d5",
+    ),
     (  # g = 3: one add per point, 3P = 2P + P
         "g3f11", ["torsion-scan", "--max-order", "6"], 1,
         '{"points_scanned":123,"violations":[]}',
@@ -157,3 +182,13 @@ def test_stdout_is_frozen(capsys, tmp_path, name, argv, n_lines, first, digest):
     assert len(lines) == n_lines
     assert lines[0] == first
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_selftest_stdout_is_frozen(capsys):
+    """jachalf selftest prints the same 446 bytes on every run."""
+    assert main(["selftest"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert len(out) == 446
+    assert hashlib.sha256(out).hexdigest() == (
+        "3b2c6795f675c047b02f268053ce60be75cda394866597912b084ed068c9b776"
+    )

@@ -70,10 +70,17 @@ MUTANTS = [
      [FALLBACK_3]),
     (CLOSED, "- f6 * il2 ", "", [GENUS3_P61]),
     (CLOSED, "w0 = (f3 - 2 * v2 * v1", "w0 = (-2 * v2 * v1", [GENUS3_P61]),
-    # _cantor_double: the first reduction step subtracts k^2
-    (JAC, "divide(psub(F, W, times(twoV, k)), U)[0], times(k, k))",
-     "divide(psub(F, W, times(twoV, k)), U)[0], pneg(F, times(k, k)))",
+    # _double_point: the g = 1 tangent keeps f2, and V3 = b + lambda (x - a);
+    # _cantor_double is add(D, D) off a point class
+    (JAC, "x3 = sub(sub(mul(lam, lam), f[2]), add(a, a))", "x3 = sub(mul(lam, lam), add(a, a))",
+     [T_JAC + "TestDoubling::test_tangent_on_every_point[1-F13]"]),
+    (JAC, "V3 = (sub(b, mul(lam, a)), lam)", "V3 = (add(b, mul(lam, a)), lam)",
+     [T_JAC + "TestDoubling::test_tangent_on_every_point[2-F13]"]),
+    (JAC, "return _cantor_add(g, F, f, D, D)", "return D",
      [T_JAC + "TestDoubling::test_double_is_add_to_itself[3-F13]"]),
+    # _walk takes a negative digit as the negated odd multiple
+    (JAC, "negate(odd[-r >> 1])", "odd[-r >> 1]",
+     [T_JAC + "TestScalarMul::test_matches_binary_ladder[2-13]"]),
     # _reduce and _negate return tuples, which the scan compares by value
     (JAC, "return tuple(pmonic(F, U3)), tuple(V3)", "return pmonic(F, U3), V3", [BY_VALUE]),
     (JAC, "return U, tuple(pneg(F, V))", "return U, tuple(V)", [BY_VALUE]),
